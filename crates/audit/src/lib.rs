@@ -31,14 +31,14 @@
 //! | W015 | stream-watermark   | under streaming ingest, every published micro-epoch's content-defined watermark strictly advances and chains to its predecessor, the watermark digest recomputes from the micro-epoch's changed pages, every changed page carries a real fingerprint transition, and the delta's changed records are drawn exactly from the records whose source-page fingerprints changed since the previous watermark |
 //! | W016 | source-reliability | the trust fixpoint recomputes from the model's stored claims (scores within ε, identical quarantine set), the lineage site-quarantine entries mirror the model's, no live value or record rests solely on quarantined-trust sites, no quarantined site survives in the document tables, and every logged reconciliation selection is actually the live first value with not-all-quarantined support |
 //!
-//! W001–W012 and W016 run over any web via [`audit`]; W013 additionally needs the
-//! cluster's [`ShardCoverageView`] and runs via [`check_shard_coverage`] or
-//! [`audit_with_cluster`] — the view is plain data, so the audit stays
-//! independent of the cluster crate that produces it. W014 runs over a
-//! [`SegmentedLrecIndex`] via [`check_segments`] or [`audit_with_segments`].
-//! W015 follows the W013 pattern: the streaming engine (`woc-stream`)
-//! reports its micro-epoch journal as plain-data [`MicroEpochView`]s and
-//! the check runs via [`check_stream_epochs`] or [`audit_with_stream`];
+//! [`audit`] is the one entry point: it runs W001–W012 and W016 over any
+//! web. The three plane checks need inputs only some callers have, so those
+//! callers push them onto [`Audit::checks`] themselves: W013
+//! ([`check_shard_coverage`]) takes the cluster's [`ShardCoverageView`] —
+//! plain data, so the audit stays independent of the cluster crate that
+//! produces it; W014 ([`check_segments`]) takes the [`SegmentedLrecIndex`]
+//! serving the web; W015 ([`check_stream_epochs`]) takes the streaming
+//! engine's micro-epoch journal as plain-data [`MicroEpochView`]s.
 //! [`stream_digest`] is the single definition of the watermark digest —
 //! the engine calls it to stamp watermarks, the audit calls it to verify
 //! them.
@@ -226,18 +226,6 @@ pub struct ShardCoverageView {
     pub replicas: Vec<Vec<(u64, u64)>>,
 }
 
-/// Run W001–W012 over the web plus the W013 shard-coverage check over the
-/// cluster's view of it — the audit entry point for clustered serving.
-pub fn audit_with_cluster(
-    woc: &WebOfConcepts,
-    view: &ShardCoverageView,
-    cfg: &AuditConfig,
-) -> Audit {
-    let mut a = audit(woc, cfg);
-    a.checks.push(check_shard_coverage(woc, view, cfg));
-    a
-}
-
 /// W013: shard coverage — the partition the cluster serves through must
 /// tile the web exactly. Every live record and every indexed document is
 /// owned by exactly one shard, owners are in range, nothing dead is owned;
@@ -361,19 +349,6 @@ pub fn check_shard_coverage(
         ));
     }
     c
-}
-
-/// Run W001–W012 over the web plus the W014 segment-metadata check over
-/// the segmented record index serving it — the audit entry point for
-/// LSM-style segmented serving (`woc-serve` snapshots, `woc-incr` engines).
-pub fn audit_with_segments(
-    woc: &WebOfConcepts,
-    segments: &SegmentedLrecIndex,
-    cfg: &AuditConfig,
-) -> Audit {
-    let mut a = audit(woc, cfg);
-    a.checks.push(check_segments(woc, segments, cfg));
-    a
 }
 
 /// W014: segment metadata — the segmented index's three metadata planes
@@ -603,20 +578,6 @@ pub fn stream_digest(prev_digest: u64, changed_pages: &[PageChangeView]) -> u64 
         eat_fp(&mut h, pc.new_fp);
     }
     h
-}
-
-/// Run W001–W012, W014 over the web and its segmented index, plus the
-/// W015 stream-watermark check over the streaming engine's micro-epoch
-/// journal — the audit entry point for streaming ingest.
-pub fn audit_with_stream(
-    woc: &WebOfConcepts,
-    segments: &SegmentedLrecIndex,
-    epochs: &[MicroEpochView],
-    cfg: &AuditConfig,
-) -> Audit {
-    let mut a = audit_with_segments(woc, segments, cfg);
-    a.checks.push(check_stream_epochs(epochs, cfg));
-    a
 }
 
 /// W015: stream watermark — the micro-epoch journal must advance

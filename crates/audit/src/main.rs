@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use woc_audit::{audit_with_segments, AuditConfig};
+use woc_audit::{audit, check_segments, AuditConfig};
 use woc_index::MergePolicy;
 use woc_webgen::{generate_corpus, CorpusConfig, World, WorldConfig};
 
@@ -56,7 +56,8 @@ fn main() -> ExitCode {
     // from this web — a fresh base at a merge point, so the pinned-stat
     // recomputation check gates too.
     let segments = woc.segmented_record_index(MergePolicy::default());
-    let report = audit_with_segments(&woc, &segments, &cfg);
+    let mut report = audit(&woc, &cfg);
+    report.checks.push(check_segments(&woc, &segments, &cfg));
 
     if json {
         match serde_json::to_string_pretty(&report) {

@@ -442,7 +442,11 @@ fn clean_view(woc: &WebOfConcepts) -> woc_audit::ShardCoverageView {
 }
 
 fn run_cluster(woc: &WebOfConcepts, view: &woc_audit::ShardCoverageView) -> Audit {
-    woc_audit::audit_with_cluster(woc, view, &AuditConfig::default())
+    let cfg = AuditConfig::default();
+    let mut a = woc_audit::audit(woc, &cfg);
+    a.checks
+        .push(woc_audit::check_shard_coverage(woc, view, &cfg));
+    a
 }
 
 #[test]
@@ -507,7 +511,11 @@ fn fresh_segments(woc: &WebOfConcepts) -> woc_index::SegmentedLrecIndex {
 }
 
 fn run_segments(woc: &WebOfConcepts, segments: &woc_index::SegmentedLrecIndex) -> Audit {
-    woc_audit::audit_with_segments(woc, segments, &AuditConfig::default())
+    let cfg = AuditConfig::default();
+    let mut a = woc_audit::audit(woc, &cfg);
+    a.checks
+        .push(woc_audit::check_segments(woc, segments, &cfg));
+    a
 }
 
 #[test]

@@ -34,12 +34,14 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use woc_apps::{hydrate_record_hit, interpret_query, ConceptResult};
-use woc_audit::{audit_with_cluster, Audit, AuditConfig, ShardCoverageView};
+use woc_audit::{
+    audit, check_segments, check_shard_coverage, Audit, AuditConfig, ShardCoverageView,
+};
 use woc_chaos::{ShardFaultInjector, ShardFaultProfile};
 use woc_core::WebOfConcepts;
 use woc_index::{FieldQuery, RecordHit, SegmentedLrecIndex};
 use woc_lrec::LrecId;
-use woc_serve::{ConceptServer, EpochDelta, SegmentDelta, ServeConfig, Snapshot};
+use woc_serve::{ConceptServer, SegmentDelta, ServeConfig, Snapshot};
 use woc_textkit::tokenize::tokenize_words;
 use woc_webgen::WebCorpus;
 
@@ -250,6 +252,12 @@ impl ClusterServer {
         Arc::clone(&self.state.read())
     }
 
+    /// Take the snapshot the epoch authority's publish hook last delivered,
+    /// under the same single-lock rule.
+    fn take_installed(&self) -> Option<Arc<Snapshot>> {
+        self.inbox.write().take()
+    }
+
     /// Snapshot the active fault injector under the same single-lock rule.
     fn fault_injector(&self) -> Arc<ShardFaultInjector> {
         Arc::clone(&self.injector.read())
@@ -265,67 +273,35 @@ impl ClusterServer {
         self.stats.snapshot()
     }
 
-    /// Publish `woc` as the next epoch: the epoch authority swaps its
-    /// snapshot (firing the publish hook), the partition map and shard
-    /// sides rebuild — re-shipping any side whose inputs are unchanged as
-    /// the same `Arc` — and every replica *reachable at the current
-    /// virtual time* installs the new epoch. Unreachable replicas stay on
-    /// their old epoch; the router refuses them until
-    /// [`ClusterServer::sync_replicas`] (or a later publish) catches them
-    /// up. Returns the new epoch.
-    pub fn publish(&self, corpus: &WebCorpus, woc: WebOfConcepts) -> u64 {
-        self.full.publish(woc);
-        let snap = self
-            .inbox
-            .write()
-            .take()
-            .unwrap_or_else(|| self.full.snapshot());
-        let prev = self.routing_state();
-        let next = Arc::new(build_state(&snap, corpus, &self.config, Some(&prev)));
-        *self.state.write() = Arc::clone(&next);
-        self.sync_replicas();
-        snap.epoch
-    }
-
-    /// Publish only if `delta` carries actual record or document changes
-    /// — the cluster form of [`ConceptServer::publish_delta`]. An
-    /// effectively-empty delta is a no-op: no epoch bump, no shard
-    /// rebuild, no replica churn.
-    pub fn publish_delta(&self, corpus: &WebCorpus, woc: WebOfConcepts, delta: &EpochDelta) -> u64 {
-        if delta.is_effectively_empty() {
-            return self.epoch();
-        }
-        self.publish(corpus, woc)
-    }
-
-    /// Publish a maintained web together with its incrementally-maintained
-    /// segmented index — the cluster form of
+    /// Publish a web together with its segmented index and the delta
+    /// describing what moved — the cluster form of
     /// [`ConceptServer::publish_delta_segmented`]. The epoch authority
-    /// retains its result cache by the delta's scope, the new snapshot
-    /// ships the maintained segments (sharing the frozen base with the
-    /// previous epoch), and the shard fan-out re-ships every record side
-    /// whose owned entries and pinned statistics are unchanged — so only
-    /// the shards owning changed records rebuild. An effectively-empty
-    /// delta is a no-op.
-    pub fn publish_delta_segmented(
+    /// swaps its snapshot (retaining its result cache by the delta's scope
+    /// and firing the publish hook), the partition map and shard sides
+    /// rebuild — re-shipping as the same `Arc` every side whose owned
+    /// entries and pinned statistics are unchanged, so a delta publish
+    /// rebuilds only the shards owning changed records — and every replica
+    /// *reachable at the current virtual time* installs the new epoch.
+    /// Unreachable replicas stay on their old epoch; the router refuses
+    /// them until [`ClusterServer::sync_replicas`] (or a later publish)
+    /// catches them up. A no-op delta is a cluster-wide no-op: no epoch
+    /// bump, no shard rebuild, no replica churn. Returns the epoch now
+    /// being served.
+    pub fn publish(
         &self,
         corpus: &WebCorpus,
         woc: WebOfConcepts,
         delta: &SegmentDelta,
         segments: Arc<SegmentedLrecIndex>,
     ) -> u64 {
-        if delta.base.is_effectively_empty() {
-            return self.epoch();
-        }
         self.full.publish_delta_segmented(woc, delta, segments);
-        let snap = self
-            .inbox
-            .write()
-            .take()
-            .unwrap_or_else(|| self.full.snapshot());
+        // A no-op publish fires no hook and leaves the inbox empty.
+        let Some(snap) = self.take_installed() else {
+            return self.epoch();
+        };
         let prev = self.routing_state();
         let next = Arc::new(build_state(&snap, corpus, &self.config, Some(&prev)));
-        *self.state.write() = Arc::clone(&next);
+        *self.state.write() = next;
         self.sync_replicas();
         snap.epoch
     }
@@ -599,12 +575,11 @@ impl ClusterServer {
     /// segment-metadata check over the epoch's segmented record index.
     pub fn audit(&self, cfg: &AuditConfig) -> Audit {
         let st = self.routing_state();
-        let mut a = audit_with_cluster(&st.snap.woc, &self.coverage_view(), cfg);
-        a.checks.push(woc_audit::check_segments(
-            &st.snap.woc,
-            &st.snap.segments,
-            cfg,
-        ));
+        let woc = &st.snap.woc;
+        let mut a = audit(woc, cfg);
+        a.checks
+            .push(check_shard_coverage(woc, &self.coverage_view(), cfg));
+        a.checks.push(check_segments(woc, &st.snap.segments, cfg));
         a
     }
 }

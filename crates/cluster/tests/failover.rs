@@ -16,8 +16,10 @@ use woc_audit::AuditConfig;
 use woc_chaos::ShardFaultProfile;
 use woc_cluster::{ClusterConfig, ClusterServer, Coverage};
 use woc_core::{build, PipelineConfig, WebOfConcepts};
-use woc_incr::{epoch_delta, segment_delta, IncrEngine};
+use woc_incr::{segment_delta, IncrEngine, MaintainReport};
+use woc_index::MergePolicy;
 use woc_lrec::{LrecId, Tick};
+use woc_serve::SegmentDelta;
 use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, WebCorpus, World, WorldConfig};
 
 /// Seeds every profile is exercised at. `WOC_CLUSTER_SEED` adds one more.
@@ -75,6 +77,22 @@ fn reference_doc_search(woc: &WebOfConcepts, query: &str, k: usize) -> Vec<(Stri
         .into_iter()
         .map(|h| (woc.doc_urls[h.doc.0 as usize].clone(), h.score))
         .collect()
+}
+
+/// Publish a maintenance pass the way `IncrEngine::maintain_and_publish`
+/// does: the engine's web and segments under the pass's folded delta.
+fn publish_pass(
+    cluster: &ClusterServer,
+    corpus: &WebCorpus,
+    engine: &IncrEngine,
+    report: &MaintainReport,
+) -> u64 {
+    cluster.publish(
+        corpus,
+        engine.web().clone(),
+        &segment_delta(report),
+        Arc::new(engine.segments().clone()),
+    )
 }
 
 fn cluster_over(woc: &WebOfConcepts, corpus: &WebCorpus, config: ClusterConfig) -> ClusterServer {
@@ -390,7 +408,7 @@ fn stale_replica_is_refused_until_resynced() {
     let corpus_v2 = generate_corpus(&world, &corpus_cfg);
     let report = engine.maintain(&corpus_v2).expect("maintain must succeed");
     assert!(!report.short_circuited);
-    let epoch = cluster.publish_delta(&corpus_v2, engine.web().clone(), &epoch_delta(&report));
+    let epoch = publish_pass(&cluster, &corpus_v2, &engine, &report);
     assert_eq!(epoch, 2);
     assert_eq!(cluster.epoch(), 2);
     let view = cluster.coverage_view();
@@ -453,7 +471,8 @@ fn republish_of_unchanged_web_reuses_every_shard_side() {
     let records_before: Vec<_> = (0..4).map(|s| cluster.records_side(s)).collect();
     let docs_before: Vec<_> = (0..4).map(|s| cluster.docs_side(s)).collect();
 
-    let epoch = cluster.publish(corpus, woc.clone());
+    let segments = Arc::new(woc.segmented_record_index(MergePolicy::default()));
+    let epoch = cluster.publish(corpus, woc.clone(), &SegmentDelta::cold(), segments);
     assert_eq!(epoch, 2);
     for s in 0..4 {
         assert!(
@@ -497,7 +516,7 @@ fn empty_delta_publish_is_a_cluster_noop() {
 
     let report = engine.maintain(&corpus).expect("maintain must succeed");
     assert!(report.short_circuited);
-    let epoch = cluster.publish_delta(&corpus, engine.web().clone(), &epoch_delta(&report));
+    let epoch = publish_pass(&cluster, &corpus, &engine, &report);
     assert_eq!(epoch, 1, "no change, no epoch bump");
     assert_eq!(cluster.epoch(), 1);
     assert_eq!(cluster.full().epoch(), 1);
@@ -525,8 +544,7 @@ fn incremental_epochs_serve_byte_identically_through_the_cluster() {
         let report = engine
             .maintain(&corpus_next)
             .expect("maintain must succeed");
-        let epoch =
-            cluster.publish_delta(&corpus_next, engine.web().clone(), &epoch_delta(&report));
+        let epoch = publish_pass(&cluster, &corpus_next, &engine, &report);
         if !report.short_circuited && report.effective_change {
             expected_epoch += 1;
         }
@@ -589,12 +607,7 @@ fn segmented_delta_publish_rebuilds_only_changed_shards() {
     );
     assert!(!report.changed_records.is_empty());
 
-    let epoch = cluster.publish_delta_segmented(
-        &corpus_v2,
-        engine.web().clone(),
-        &segment_delta(&report),
-        Arc::new(engine.segments().clone()),
-    );
+    let epoch = publish_pass(&cluster, &corpus_v2, &engine, &report);
     assert_eq!(epoch, 2);
     assert_eq!(cluster.epoch(), 2);
 

@@ -74,9 +74,10 @@ impl Default for PipelineConfig {
 
 /// The constructed web of concepts.
 ///
-/// `Clone` supports the serving layer's maintenance cycle: clone the
-/// currently-published web, run [`crate::maintain::recrawl`] on the copy,
-/// then publish it as a new snapshot epoch while readers drain the old one.
+/// `Clone` is what publishing costs: the maintenance engine keeps its own
+/// web and ships a clone to the serving tier as the next snapshot epoch,
+/// so readers of the old epoch drain undisturbed while the engine keeps
+/// maintaining its copy.
 #[derive(Debug, Clone)]
 pub struct WebOfConcepts {
     /// Concept registry.

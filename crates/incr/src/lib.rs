@@ -23,11 +23,15 @@
 //!    maintained web is **byte-identical** to a from-scratch rebuild at the
 //!    same epoch — [`canonical_bytes`] is the oracle the equivalence tests
 //!    and the `incr-equivalence` CI gate compare with.
-//! 4. **Epoch-delta publishing** — [`IncrEngine::maintain_and_publish`]
-//!    folds the pass into a [`woc_serve::EpochDelta`] and hands the patched
-//!    web to [`woc_serve::ConceptServer::publish_delta`]: a no-op pass keeps
-//!    the served epoch and its warm result cache; any real change publishes
-//!    a new epoch.
+//! 4. **Delta publishing** — [`IncrEngine::maintain_and_publish`] folds the
+//!    pass into a [`woc_serve::SegmentDelta`] ([`segment_delta`]) and ships
+//!    the maintained web and its segmented index through the serving
+//!    tier's one publish door
+//!    ([`woc_serve::ConceptServer::publish_delta_segmented`]): a no-op pass
+//!    keeps the served epoch and its warm result cache; a real change
+//!    publishes a new epoch and invalidates only the cached answers its
+//!    changed terms and records touch. A failed pass publishes nothing and
+//!    marks the server degraded.
 //!
 //! An empty [`ChangeSet`] short-circuits the whole pass —
 //! [`MaintainReport::short_circuited`] — without cloning, rebuilding or
@@ -45,7 +49,9 @@ use serde::{Serialize, Value};
 use woc_core::{build_with_caches, AssocKind, BuildCaches, PipelineConfig, WebOfConcepts};
 use woc_index::{MergePolicy, RecordChange, SegmentedLrecIndex};
 use woc_lrec::{ConceptId, LrecId};
-use woc_serve::{ConceptServer, EpochDelta, SegmentDelta};
+use woc_serve::{ConceptServer, SegmentDelta};
+
+pub use woc_serve::MaintainError;
 use woc_webgen::WebCorpus;
 
 /// The page-level diff between the engine's current epoch and a fresh
@@ -88,8 +94,8 @@ pub struct MaintainReport {
     /// Affected records whose every source page vanished (tombstoned in
     /// the maintained web).
     pub records_tombstoned: usize,
-    /// Concepts with at least one affected record (sorted) — the scope
-    /// handed to [`woc_serve::EpochDelta`].
+    /// Concepts with at least one affected record (sorted) — reported for
+    /// observability; retention is scoped by terms and records.
     pub touched_concepts: Vec<ConceptId>,
     /// Pages whose extraction was actually recomputed.
     pub pages_reextracted: usize,
@@ -140,43 +146,6 @@ pub struct MaintainReport {
     /// True when the segmented index compacted down to a single base and
     /// re-pinned its corpus-global scoring statistics during this pass.
     pub stats_repinned: bool,
-}
-
-/// Why a maintenance pass aborted without changing the engine's epoch.
-///
-/// A failed pass is transactional: [`IncrEngine::web`] and the epoch
-/// fingerprints are exactly what they were before the pass began, so the
-/// caller keeps serving the last good web.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MaintainError {
-    /// The pipeline replay panicked; the payload message is captured.
-    RebuildPanicked(String),
-    /// The pre-rebuild fault hook rejected the pass (chaos testing, or a
-    /// crawl-quality gate refusing a degraded corpus).
-    FaultInjected(String),
-}
-
-impl fmt::Display for MaintainError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MaintainError::RebuildPanicked(msg) => write!(f, "rebuild panicked: {msg}"),
-            MaintainError::FaultInjected(msg) => write!(f, "fault injected: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for MaintainError {}
-
-/// Render a `catch_unwind` payload: panics carry `&str` or `String`
-/// almost always; anything else is opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// A pre-rebuild gate: sees the change set, returns `Err(reason)` to abort
@@ -321,7 +290,7 @@ impl IncrEngine {
             // rebuild: a panicking gate aborts the pass, it doesn't tear
             // down the engine.
             catch_unwind(AssertUnwindSafe(|| hook(&changes)))
-                .map_err(|payload| MaintainError::RebuildPanicked(panic_message(payload)))?
+                .map_err(MaintainError::from_panic)?
                 .map_err(MaintainError::FaultInjected)?;
         }
 
@@ -362,7 +331,7 @@ impl IncrEngine {
         let new_web = catch_unwind(AssertUnwindSafe(|| {
             build_with_caches(corpus, &self.config, Some(&mut self.caches))
         }))
-        .map_err(|payload| MaintainError::RebuildPanicked(panic_message(payload)))?;
+        .map_err(MaintainError::from_panic)?;
 
         // Records born from added or rewritten pages scope the delta too.
         let mut affected_new: BTreeSet<LrecId> = BTreeSet::new();
@@ -463,22 +432,24 @@ impl IncrEngine {
         Ok(report)
     }
 
-    /// Layer 4 — maintain, then publish the result to a serving tier as a
-    /// *segmented* delta ([`woc_serve::ConceptServer::publish_delta_segmented`]):
+    /// Layer 4 — maintain, then publish the result through the serving
+    /// tier's one door ([`woc_serve::ConceptServer::publish_delta_segmented`]):
     /// the server ships the engine's maintained segments (sharing the frozen
     /// base across epochs) and retains every cached entry whose scope the
     /// pass provably did not touch, instead of dropping the cache wholesale.
     /// A short-circuited or ineffective pass publishes nothing: the server
     /// keeps its epoch and its warm result cache. A failed pass publishes
-    /// nothing either — the error propagates and the server keeps serving
-    /// the previous epoch. Returns the pass report and the epoch now being
-    /// served.
+    /// nothing either — the error is recorded on the server, which stays
+    /// degraded on the previous epoch until the next pass succeeds, and
+    /// propagates. Returns the pass report and the epoch now being served.
     pub fn maintain_and_publish(
         &mut self,
         corpus: &WebCorpus,
         server: &ConceptServer,
     ) -> Result<(MaintainReport, u64), MaintainError> {
-        let report = self.maintain(corpus)?;
+        let report = self
+            .maintain(corpus)
+            .inspect_err(|err| server.record_maintain_failure(err))?;
         let epoch = server.publish_delta_segmented(
             self.web.clone(),
             &segment_delta(&report),
@@ -488,34 +459,20 @@ impl IncrEngine {
     }
 }
 
-/// Fold a maintenance report into the [`EpochDelta`] a serving tier should
-/// publish with. Short-circuited and *ineffective* passes (dirty pages
-/// whose recomputation produced a byte-identical web — see
-/// [`MaintainReport::effective_change`]) fold to the empty delta, which
-/// [`woc_serve::ConceptServer::publish_delta`] treats as a no-op: same
-/// epoch, warm cache. `woc-cluster` uses the same folding for its
-/// per-shard delta publishes.
-pub fn epoch_delta(report: &MaintainReport) -> EpochDelta {
-    if report.short_circuited || !report.effective_change {
-        return EpochDelta::default();
-    }
-    EpochDelta {
-        touched_concepts: report.touched_concepts.clone(),
-        records_changed: report.records_affected > 0 || report.records_tombstoned > 0,
-        // Any dirty/added/removed page perturbs the doc index and
-        // the corpus-global BM25 statistics.
-        docs_changed: report.pages_dirty > 0,
-    }
-}
-
-/// Fold a maintenance report into the [`SegmentDelta`] a segmented publish
-/// retains the result cache with: the coarse plane flags plus the pass's
-/// exact changed-term set and conservative changed-record set. Folds to a
-/// no-op for short-circuited and ineffective passes, exactly like
-/// [`epoch_delta`].
+/// Fold a maintenance report into the [`SegmentDelta`] a serving tier
+/// publishes with: the coarse plane flags plus the pass's exact
+/// changed-term set and conservative changed-record set. Short-circuited
+/// and *ineffective* passes (dirty pages whose recomputation produced a
+/// byte-identical web — see [`MaintainReport::effective_change`]) fold to a
+/// no-op ([`SegmentDelta::is_noop`]): same epoch, warm cache. `woc-cluster`
+/// publishes with the same fold.
 pub fn segment_delta(report: &MaintainReport) -> SegmentDelta {
+    let effective = !report.short_circuited && report.effective_change;
     SegmentDelta {
-        base: epoch_delta(report),
+        records_changed: effective
+            && (report.records_affected > 0 || report.records_tombstoned > 0),
+        // Any dirty/added/removed page perturbs the doc index.
+        docs_changed: effective && report.pages_dirty > 0,
         changed_terms: report.changed_terms.clone(),
         changed_records: report.changed_records.clone(),
         stats_repinned: report.stats_repinned,

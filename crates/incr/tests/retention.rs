@@ -100,11 +100,13 @@ fn low_churn_maintenance_keeps_untouched_entries_warm() {
     ));
     assert!(snap2.segments.delta_count() > 0, "the pass shipped a delta");
     // The maintained segments audit clean, including W014 segment metadata.
-    let audit = woc_audit::audit_with_segments(
+    let cfg = woc_audit::AuditConfig::default();
+    let mut audit = woc_audit::audit(engine.web(), &cfg);
+    audit.checks.push(woc_audit::check_segments(
         engine.web(),
         engine.segments(),
-        &woc_audit::AuditConfig::default(),
-    );
+        &cfg,
+    ));
     assert!(audit.passed(), "{}", audit.render());
 
     let changed_terms: BTreeSet<&str> = report.changed_terms.iter().map(String::as_str).collect();

@@ -5,6 +5,7 @@
 use woc_core::{build, PipelineConfig};
 use woc_incr::{canonical_bytes, IncrEngine, MaintainError};
 use woc_lrec::Tick;
+use woc_serve::{ConceptServer, ServeConfig};
 use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, World, WorldConfig};
 
 fn epochs() -> (woc_webgen::WebCorpus, woc_webgen::WebCorpus) {
@@ -81,6 +82,61 @@ fn panicking_pass_aborts_cleanly_and_recovers() {
         canonical_bytes(&fresh),
         "recovered epoch must equal a from-scratch build"
     );
+}
+
+/// The serving tier sees the real write path fail: a failed
+/// `maintain_and_publish` pass leaves the server degraded on the last good
+/// epoch with the error text, and the next successful pass — a no-op or a
+/// real publish — clears the streak.
+#[test]
+fn failed_publishing_pass_degrades_the_server_until_the_next_success() {
+    let (v1, v2) = epochs();
+    let mut engine = IncrEngine::new(&v1, PipelineConfig::default());
+    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+    assert!(!server.health().degraded);
+
+    engine.set_fault_hook(Box::new(|_| Err("crawl gate closed".to_string())));
+    for failures in 1..=2 {
+        engine
+            .maintain_and_publish(&v2, &server)
+            .expect_err("hook must abort the pass");
+        let h = server.health();
+        assert!(h.degraded, "a failed pass must degrade the server");
+        assert_eq!(h.epoch, 1, "…which keeps serving the last good epoch");
+        assert_eq!(
+            (h.failed_maintains, h.consecutive_failures),
+            (failures, failures)
+        );
+        assert_eq!(
+            h.last_error.as_deref(),
+            Some("fault injected: crawl gate closed")
+        );
+    }
+
+    // A successful no-op pass (the old crawl short-circuits before the
+    // hook) ends the streak without publishing anything.
+    let (report, epoch) = engine
+        .maintain_and_publish(&v1, &server)
+        .expect("short-circuit succeeds");
+    assert!(report.short_circuited);
+    assert_eq!(epoch, 1);
+    let h = server.health();
+    assert!(!h.degraded, "a successful no-op pass clears the streak");
+    assert_eq!((h.failed_maintains, h.consecutive_failures), (2, 0));
+
+    // Fail once more, then recover with a real publish.
+    engine
+        .maintain_and_publish(&v2, &server)
+        .expect_err("hook still installed");
+    assert!(server.health().degraded);
+    engine.clear_fault_hook();
+    let (_, epoch) = engine
+        .maintain_and_publish(&v2, &server)
+        .expect("recovery pass publishes");
+    assert_eq!(epoch, 2);
+    let h = server.health();
+    assert!(!h.degraded, "a published pass clears the streak");
+    assert_eq!((h.failed_maintains, h.consecutive_failures), (3, 0));
 }
 
 #[test]

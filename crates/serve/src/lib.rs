@@ -9,9 +9,11 @@
 //! * **Snapshot/epoch model** — readers grab one `Arc<Snapshot>` per request
 //!   and evaluate entirely against it, so a request can never observe a
 //!   half-updated web (no torn reads, by construction). Maintenance builds a
-//!   *new* web (see [`ConceptServer::maintain`]), publishes it under a bumped
-//!   epoch, and in-flight readers of the old epoch drain gracefully — the old
-//!   snapshot is freed when its last reader drops its `Arc`.
+//!   *new* web and ships it, with the [`SegmentDelta`] describing what moved,
+//!   through the one publish door
+//!   ([`ConceptServer::publish_delta_segmented`]); in-flight readers of the
+//!   old epoch drain gracefully — the old snapshot is freed when its last
+//!   reader drops its `Arc`.
 //! * **Segmented search path** — every snapshot carries a
 //!   [`SegmentedLrecIndex`]: a frozen base segment with pinned corpus-global
 //!   BM25 statistics plus delta segments, scored with block-max pruned
@@ -23,10 +25,8 @@
 //!   query share one entry. Entries carry the epoch they were filled at and
 //!   a retention [`cache::Scope`]; a stale worker finishing after a publish
 //!   can never poison the new epoch's cache (its fill generation is
-//!   refused), and a segmented delta publish
-//!   ([`ConceptServer::publish_delta_segmented`]) retains every entry whose
-//!   scope the delta provably did not touch instead of dropping the cache
-//!   wholesale.
+//!   refused), and a publish retains every entry whose scope the delta
+//!   provably did not touch instead of dropping the cache wholesale.
 //! * **Metrics** ([`metrics`]) — per-endpoint request counters, cache
 //!   hit/miss counters, and log2-bucketed latency histograms with p50/p95/p99
 //!   summaries, cheap enough to stay on under load.
@@ -54,10 +54,9 @@ use woc_apps::{
     build_concept_box, hydrate_record_hit, interpret_query, trigger_concept_box, ConceptBox,
     ConceptResult, Recommendation,
 };
-use woc_core::{recrawl, shard_map, WebOfConcepts};
+use woc_core::{shard_map, WebOfConcepts};
 use woc_index::{scoped_term, FieldQuery, MergePolicy, SegmentedLrecIndex};
-use woc_lrec::{ConceptId, LrecId, Tick, Violation};
-use woc_webgen::WebCorpus;
+use woc_lrec::{LrecId, Violation};
 
 pub use cache::Scope;
 use cache::ShardedCache;
@@ -94,55 +93,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// What changed between a snapshot and a candidate replacement — the
-/// incremental-maintenance engine hands this to [`ConceptServer::publish_delta`]
-/// so a no-op maintenance pass never invalidates a warm cache.
-///
-/// Coarse, plane-level flags: `records_changed` covers the record store and
-/// the record index, `docs_changed` covers document content and the doc
-/// index. [`ConceptServer::publish_delta`] uses the distinction — a
-/// doc-plane-only delta retains every cached *search* entry, because the
-/// search path reads only the record plane. Finer, term/record-scoped
-/// retention needs the segmented form ([`SegmentDelta`] via
-/// [`ConceptServer::publish_delta_segmented`]); with only this coarse delta
-/// a record-plane change still drops the whole cache, since BM25 statistics
-/// are corpus-global unless a segmented index has pinned them.
+/// What changed between the served snapshot and its replacement — the one
+/// delta [`ConceptServer::publish_delta_segmented`] publishes with: coarse
+/// plane flags (`records_changed` covers the record store and the record
+/// index, `docs_changed` document content and the doc index) plus exactly
+/// what the record-plane change touched, in the same vocabulary cached
+/// entries record in their [`Scope`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct EpochDelta {
-    /// Concepts with at least one created, updated, merged or tombstoned
-    /// record (sorted, deduplicated).
-    pub touched_concepts: Vec<ConceptId>,
+pub struct SegmentDelta {
     /// Any record content, merge state, or record-index posting changed.
     pub records_changed: bool,
     /// Any document content or doc-index posting changed.
     pub docs_changed: bool,
-}
-
-impl EpochDelta {
-    /// True when nothing changed — publishing such a delta is a no-op.
-    pub fn is_empty(&self) -> bool {
-        self.touched_concepts.is_empty() && !self.records_changed && !self.docs_changed
-    }
-
-    /// True when the delta carries no record or document changes, even if
-    /// `touched_concepts` is populated. Tombstone scrubbing can leave a
-    /// delta in exactly this state: concepts were *visited* during the pass
-    /// but every candidate change cancelled out, so the published bytes are
-    /// unchanged. Publishing such a delta must be a no-op — dropping a warm
-    /// cache for it would be pure waste.
-    pub fn is_effectively_empty(&self) -> bool {
-        !self.records_changed && !self.docs_changed
-    }
-}
-
-/// The fine-grained change scope a segmented maintenance pass publishes
-/// with ([`ConceptServer::publish_delta_segmented`]): the coarse plane
-/// flags plus exactly what the record-plane delta touched, in the same
-/// vocabulary cached entries record in their [`Scope`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SegmentDelta {
-    /// The coarse plane-level delta (no-op detection, touched concepts).
-    pub base: EpochDelta,
     /// Every index term whose posting list the delta touched: the union of
     /// the old and new token sequences of every changed record (sorted,
     /// deduplicated). A cached search answer whose query terms are disjoint
@@ -154,42 +116,72 @@ pub struct SegmentDelta {
     /// cached answer hydrated only from records outside this set renders
     /// byte-identically after the publish.
     pub changed_records: Vec<LrecId>,
-    /// True when the segmented index compacted during the pass and
-    /// re-pinned its corpus-global statistics: every score in the corpus
-    /// may shift, so the whole cache must drop.
+    /// True when the shipped index pins fresh corpus-global statistics (it
+    /// compacted during the pass, or was built cold): every score in the
+    /// corpus may shift, so the whole cache must drop.
     pub stats_repinned: bool,
 }
 
+impl SegmentDelta {
+    /// The delta of a cold publish: both planes changed and the statistics
+    /// are re-pinned, so nothing cached survives. Ship it with a freshly
+    /// built segmented index of the new web.
+    pub fn cold() -> Self {
+        Self {
+            records_changed: true,
+            docs_changed: true,
+            stats_repinned: true,
+            ..Self::default()
+        }
+    }
+
+    /// True when neither plane changed: the published bytes would equal the
+    /// served ones, so publishing is a no-op — dropping a warm cache for it
+    /// would be pure waste. A pass can *visit* records (tombstone scrubbing,
+    /// cosmetic page edits) and still fold to exactly this.
+    pub fn is_noop(&self) -> bool {
+        !self.records_changed && !self.docs_changed
+    }
+}
+
 /// Why a maintenance or publish pass failed without changing the served
-/// epoch. The server stays in degraded mode — answering every query from
-/// the last good snapshot — until a later pass succeeds.
+/// epoch. A failed pass is transactional: the maintained web and the
+/// served snapshot are exactly what they were before it began, and the
+/// server stays in degraded mode — answering every query from the last
+/// good snapshot — until a later pass succeeds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintainError {
-    /// The rebuild closure panicked; the payload message is captured.
+    /// The rebuild panicked; the payload message is captured.
     RebuildPanicked(String),
+    /// A pre-rebuild fault hook rejected the pass (chaos testing, or a
+    /// crawl-quality gate refusing a degraded corpus).
+    FaultInjected(String),
+}
+
+impl MaintainError {
+    /// Render a `catch_unwind` payload: panics carry `&str` or `String`
+    /// almost always; anything else is opaque.
+    pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        Self::RebuildPanicked(if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        })
+    }
 }
 
 impl fmt::Display for MaintainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MaintainError::RebuildPanicked(msg) => write!(f, "rebuild panicked: {msg}"),
+            MaintainError::FaultInjected(msg) => write!(f, "fault injected: {msg}"),
         }
     }
 }
 
 impl std::error::Error for MaintainError {}
-
-/// Render a `catch_unwind` payload: panics carry `&str` or `String`
-/// almost always; anything else is opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Crawl-layer telemetry pushed into the server's health surface by the
 /// maintenance driver (see `woc-chaos`), since the server itself never
@@ -235,7 +227,7 @@ pub struct Health {
     pub degraded: bool,
     /// Maintenance/publish passes that have failed since startup.
     pub failed_maintains: u64,
-    /// Failed passes since the last successful publish.
+    /// Failed passes since the last successful pass (published or no-op).
     pub consecutive_failures: u64,
     /// The most recent maintenance error, if any.
     pub last_error: Option<String>,
@@ -249,28 +241,6 @@ pub struct Health {
     pub crawl: Option<CrawlHealth>,
     /// Per-endpoint traffic and error budgets, in display order.
     pub endpoints: Vec<EndpointHealth>,
-}
-
-/// What a [`ConceptServer::maintain`] pass did.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MaintainReport {
-    /// Pages in the new crawl.
-    pub pages_scanned: usize,
-    /// Pages whose content fingerprint changed (or that are new).
-    pub pages_dirty: usize,
-    /// Existing records that received updated values.
-    pub records_updated: usize,
-    /// Records newly created.
-    pub records_created: usize,
-    /// Records tombstoned because every source page vanished.
-    pub records_retracted: usize,
-    /// Index postings patched in place. The recrawl path rebuilds its record
-    /// index rather than patching, so this is 0 here; the `woc-incr` engine
-    /// reports real patch counts.
-    pub postings_patched: usize,
-    /// The newly published epoch, or `None` when the pass short-circuited
-    /// (nothing changed, nothing published, cache left warm).
-    pub epoch: Option<u64>,
 }
 
 /// An immutable, read-only view of one published web of concepts.
@@ -287,37 +257,11 @@ pub struct Snapshot {
     pub segments: Arc<SegmentedLrecIndex>,
 }
 
-impl Snapshot {
-    /// Freeze a built web under an explicit epoch — the constructor
-    /// replication layers (e.g. `woc-cluster` shard replicas) use to mint
-    /// epoch-consistent snapshots outside a [`ConceptServer`]. Builds a
-    /// fresh segmented index whose base is pinned at this web's statistics
-    /// (so segmented answers are byte-identical to flat ones).
-    pub fn new(epoch: u64, woc: WebOfConcepts) -> Self {
-        let segments = Arc::new(woc.segmented_record_index(MergePolicy::default()));
-        Self {
-            epoch,
-            woc,
-            segments,
-        }
-    }
-
-    /// Freeze a web together with an already-maintained segmented index.
-    /// The caller certifies the invariant the search path relies on: the
-    /// segmented index's live entries are exactly the web's live records
-    /// (`segments.flatten()` digest-equal to `woc.record_index`) — the
-    /// W014 audit checks it.
-    pub fn with_segments(
-        epoch: u64,
-        woc: WebOfConcepts,
-        segments: Arc<SegmentedLrecIndex>,
-    ) -> Self {
-        Self {
-            epoch,
-            woc,
-            segments,
-        }
-    }
+/// A segmented index built cold from `woc`: a single base segment pinned
+/// at the web's own statistics, so segmented answers are byte-identical to
+/// flat ones.
+fn cold_segments(woc: &WebOfConcepts) -> Arc<SegmentedLrecIndex> {
+    Arc::new(woc.segmented_record_index(MergePolicy::default()))
 }
 
 /// A subscriber invoked after every successful publish with the newly
@@ -395,7 +339,11 @@ impl ConceptServer {
     /// Publish `woc` as epoch 1 and start serving.
     pub fn new(woc: WebOfConcepts, config: ServeConfig) -> Self {
         Self {
-            snapshot: RwLock::new(Arc::new(Snapshot::new(1, woc))),
+            snapshot: RwLock::new(Arc::new(Snapshot {
+                epoch: 1,
+                segments: cold_segments(&woc),
+                woc,
+            })),
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             cache_enabled: AtomicBool::new(config.cache_enabled),
             metrics: MetricsRegistry::new(),
@@ -411,8 +359,8 @@ impl ConceptServer {
 
     /// Subscribe to publishes: `hook` runs after every snapshot swap with
     /// the newly installed snapshot. No-op publishes (see
-    /// [`ConceptServer::publish_delta`]) do not fire hooks — subscribers
-    /// only ever see genuinely new epochs.
+    /// [`SegmentDelta::is_noop`]) do not fire hooks — subscribers only ever
+    /// see genuinely new epochs.
     pub fn on_publish(&self, hook: PublishHook) {
         self.hooks.0.write().push(hook);
     }
@@ -429,106 +377,18 @@ impl ConceptServer {
         self.snapshot.read().epoch
     }
 
-    /// Swap in `woc` as the next epoch's snapshot, choosing its segmented
-    /// index: an explicit one (segmented delta publish), the previous
-    /// epoch's (doc-plane-only publish — the record index is untouched), or
-    /// a fresh build. The fresh build itself reuses the previous segments
-    /// when the record index is digest-identical and the previous index is
-    /// at a merge point (no deltas), where its pinned statistics provably
-    /// equal the flat index's own. Returns the epoch and the installed
-    /// snapshot; the caller settles the cache and fires hooks.
-    /// `settle` runs with the new epoch *before* the snapshot swap, while
-    /// the write lock is held: it must advance the cache generation
-    /// (`clear_to`/`retain`). Ordering matters — once the generation has
-    /// moved, stale workers' fills are refused; and because no reader can
-    /// pin the new snapshot until the swap, no reader can ever observe the
-    /// new epoch with an unsettled cache.
-    fn install(
-        &self,
-        woc: WebOfConcepts,
-        segments: Option<Arc<SegmentedLrecIndex>>,
-        reuse_segments: bool,
-        settle: impl FnOnce(u64),
-    ) -> (u64, Arc<Snapshot>) {
-        let mut guard = self.snapshot.write();
-        let epoch = guard.epoch + 1;
-        // woc-lint: allow(lock-across-io) — settle-before-swap by design (the
-        // publish/read race fix): the cache generation must advance while the
-        // snapshot write lock excludes readers. Total lock order is
-        // snapshot -> cache shard; settle closures only touch cache shards.
-        settle(epoch);
-        let next = match segments {
-            Some(segments) => Snapshot::with_segments(epoch, woc, segments),
-            None if reuse_segments => {
-                Snapshot::with_segments(epoch, woc, Arc::clone(&guard.segments))
-            }
-            None if guard.segments.delta_count() == 0
-                && guard.woc.record_index.digest() == woc.record_index.digest() =>
-            {
-                Snapshot::with_segments(epoch, woc, Arc::clone(&guard.segments))
-            }
-            None => Snapshot::new(epoch, woc),
-        };
-        *guard = Arc::new(next);
-        let installed = Arc::clone(&guard);
-        drop(guard);
-        (epoch, installed)
-    }
-
-    /// Post-publish bookkeeping shared by every publish path: reset the
-    /// failure streak, restamp the epoch age, and fire the publish hooks.
-    fn after_publish(&self, installed: &Arc<Snapshot>) {
-        *self.published_at.write() = Instant::now();
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        for hook in self.hooks.0.read().iter() {
-            hook(installed);
-        }
-    }
-
-    /// Publish a freshly built web as the next epoch and invalidate the
-    /// result cache. In-flight requests keep serving from the epoch they
-    /// started on; new requests see the new snapshot immediately. Returns
-    /// the new epoch.
-    pub fn publish(&self, woc: WebOfConcepts) -> u64 {
-        let (epoch, installed) = self.install(woc, None, false, |e| self.cache.clear_to(e));
-        self.after_publish(&installed);
-        epoch
-    }
-
-    /// Publish `woc` as a new epoch *only if* `delta` carries actual record
-    /// or document changes. An effectively-empty delta — including one whose
-    /// `touched_concepts` survived tombstone scrubbing while every change
-    /// cancelled out — returns the current epoch untouched: no snapshot
-    /// swap, no epoch bump, and — crucially — no cache invalidation, so a
-    /// no-op maintenance cycle keeps the result cache warm.
+    /// The one door to the served epoch: publish a web together with its
+    /// segmented index and the [`SegmentDelta`] describing what moved,
+    /// retaining every cached entry the delta provably does not touch.
+    /// In-flight requests keep serving from the epoch they started on; new
+    /// requests see the new snapshot immediately. Returns the epoch now
+    /// being served.
     ///
-    /// A delta touching **only the document plane** (`docs_changed` without
-    /// `records_changed`) publishes the new epoch but *retains* every
-    /// cached search entry: the search path reads only the record index and
-    /// the record store, both untouched, so the cached bytes still equal a
-    /// fresh evaluation. (This used to drop the whole cache — the
-    /// conservative plane-blind behavior.) Scopeless entries (concept box,
-    /// recommendations) read document-side state and are dropped. A delta
-    /// with record changes still drops the whole cache on this coarse path;
-    /// term/record-scoped retention needs
-    /// [`ConceptServer::publish_delta_segmented`].
-    pub fn publish_delta(&self, woc: WebOfConcepts, delta: &EpochDelta) -> u64 {
-        if delta.is_effectively_empty() {
-            return self.epoch();
-        }
-        if !delta.records_changed {
-            let (epoch, installed) = self.install(woc, None, true, |e| {
-                self.cache.retain(e, |scope| scope.is_some());
-            });
-            self.after_publish(&installed);
-            return epoch;
-        }
-        self.publish(woc)
-    }
-
-    /// Publish a maintained web together with its incrementally-maintained
-    /// segmented index, retaining every cached entry the delta provably
-    /// does not touch.
+    /// A no-op delta ([`SegmentDelta::is_noop`]) returns the current epoch
+    /// untouched: no snapshot swap, no epoch bump, no hook, and — crucially
+    /// — no cache invalidation, so a maintenance cycle that changed nothing
+    /// keeps the result cache warm. Either way the call marks a maintenance
+    /// pass that *succeeded*, so it ends a degraded streak.
     ///
     /// Retention soundness, entry by entry: a cached search answer is a
     /// pure function of (a) the posting lists of its query terms, (b) the
@@ -536,117 +396,68 @@ impl ConceptServer {
     /// records. The delta certifies (a) unchanged when the entry's terms
     /// are disjoint from [`SegmentDelta::changed_terms`], (b) unchanged
     /// unless [`SegmentDelta::stats_repinned`], and (c) unchanged when the
-    /// entry's records are disjoint from [`SegmentDelta::changed_records`].
-    /// Entries without a scope also read document-plane state, so they only
-    /// survive a no-op. An effectively-empty delta is a no-op exactly like
-    /// [`ConceptServer::publish_delta`].
+    /// entry's records are disjoint from [`SegmentDelta::changed_records`]
+    /// — so a doc-plane-only delta, which lists neither, keeps every search
+    /// entry. Entries without a scope (concept box, recommendations) also
+    /// read document-plane state, so they only survive a no-op. A cold
+    /// publish is [`SegmentDelta::cold`] over a freshly built index.
+    ///
+    /// The caller certifies the invariant the search path relies on: the
+    /// segmented index's live entries are exactly the web's live records
+    /// (`segments.flatten()` digest-equal to `woc.record_index`) — the W014
+    /// audit checks it.
     pub fn publish_delta_segmented(
         &self,
         woc: WebOfConcepts,
         delta: &SegmentDelta,
         segments: Arc<SegmentedLrecIndex>,
     ) -> u64 {
-        if delta.base.is_effectively_empty() {
+        self.consecutive_failures.store(0, Ordering::Relaxed);
+        if delta.is_noop() {
             return self.epoch();
         }
         let terms: std::collections::HashSet<&str> =
             delta.changed_terms.iter().map(String::as_str).collect();
         let records: std::collections::HashSet<LrecId> =
             delta.changed_records.iter().copied().collect();
-        let (epoch, installed) = self.install(woc, Some(segments), false, |e| {
-            if delta.stats_repinned {
-                self.cache.clear_to(e);
-            } else {
-                self.cache.retain(e, |scope| {
-                    scope.is_some_and(|s| {
-                        !s.terms.iter().any(|t| terms.contains(t.as_str()))
-                            && !s.records.iter().any(|r| records.contains(r))
-                    })
-                });
-            }
+        let mut guard = self.snapshot.write();
+        let epoch = guard.epoch + 1;
+        // woc-lint: allow(lock-across-io) — settle-before-swap by design (the
+        // publish/read race fix): the cache generation advances while the
+        // snapshot write lock excludes readers. Once it has moved, stale
+        // workers' fills are refused; and because no reader can pin the new
+        // snapshot until the swap, none can observe the new epoch with an
+        // unsettled cache. Total lock order is snapshot -> cache shard;
+        // settling only touches cache shards.
+        if delta.stats_repinned {
+            self.cache.clear_to(epoch);
+        } else {
+            self.cache.retain(epoch, |scope| {
+                scope.is_some_and(|s| {
+                    !s.terms.iter().any(|t| terms.contains(t.as_str()))
+                        && !s.records.iter().any(|r| records.contains(r))
+                })
+            });
+        }
+        *guard = Arc::new(Snapshot {
+            epoch,
+            woc,
+            segments,
         });
-        self.after_publish(&installed);
+        let installed = Arc::clone(&guard);
+        drop(guard);
+        *self.published_at.write() = Instant::now();
+        for hook in self.hooks.0.read().iter() {
+            hook(&installed);
+        }
         epoch
     }
 
-    /// Maintenance cycle: fingerprint-diff the two crawls, and only when
-    /// some page actually changed (or vanished) clone the published web,
-    /// apply an incremental recrawl ([`woc_core::maintain`]) against it, and
-    /// publish the result as a new epoch. Readers never block on the rebuild
-    /// — they keep serving the old snapshot until the swap. When nothing
-    /// changed the pass short-circuits: no clone, no publish, cache intact,
-    /// and the returned report carries `epoch: None`.
-    pub fn maintain(&self, old: &WebCorpus, new: &WebCorpus, tick: Tick) -> MaintainReport {
-        match self.try_maintain(old, new, tick) {
-            Ok(report) => report,
-            // Degraded mode: the pass failed, the last good epoch keeps
-            // serving. The failure is visible through [`Self::health`];
-            // callers that need the typed error use `try_maintain`.
-            Err(_) => MaintainReport {
-                pages_scanned: new.len(),
-                ..MaintainReport::default()
-            },
-        }
-    }
-
-    /// [`Self::maintain`] with transactional error reporting: a rebuild
-    /// panic aborts the pass, leaves the published snapshot untouched, and
-    /// surfaces as [`MaintainError::RebuildPanicked`]. No lock is held
-    /// across the rebuild — the pass clones from a pinned `Arc` snapshot,
-    /// so readers never block and a failed pass cannot poison the epoch.
-    pub fn try_maintain(
-        &self,
-        old: &WebCorpus,
-        new: &WebCorpus,
-        tick: Tick,
-    ) -> Result<MaintainReport, MaintainError> {
-        let pages_dirty = new
-            .pages()
-            .iter()
-            .filter(|page| match old.get(&page.url) {
-                Some(old_page) => old_page.fingerprint() != page.fingerprint(),
-                None => true,
-            })
-            .count();
-        let any_removed = old.pages().iter().any(|p| new.get(&p.url).is_none());
-        let mut report = MaintainReport {
-            pages_scanned: new.len(),
-            pages_dirty,
-            ..MaintainReport::default()
-        };
-        if pages_dirty == 0 && !any_removed {
-            self.consecutive_failures.store(0, Ordering::Relaxed);
-            return Ok(report);
-        }
-        // Pin the snapshot (the guard inside `snapshot()` is dropped
-        // before it returns) and rebuild under unwind protection.
-        // `AssertUnwindSafe` is justified: the closure only reads the
-        // pinned snapshot and mutates its own local clone, which is
-        // discarded on panic.
-        let snap = self.snapshot();
-        let rebuilt = catch_unwind(AssertUnwindSafe(|| {
-            let mut woc = snap.woc.clone();
-            let m = recrawl(&mut woc, old, new, tick);
-            (woc, m)
-        }))
-        .map_err(|payload| {
-            let msg = panic_message(payload);
-            self.record_maintain_failure(&msg);
-            MaintainError::RebuildPanicked(msg)
-        })?;
-        let (woc, m) = rebuilt;
-        report.records_updated = m.records_updated;
-        report.records_created = m.records_created;
-        report.records_retracted = m.records_retracted;
-        report.epoch = Some(self.publish(woc));
-        Ok(report)
-    }
-
     /// Rebuild the next epoch with an arbitrary closure over the pinned
-    /// current snapshot and publish the result. A panicking rebuild aborts
-    /// transactionally: the error is recorded, the served epoch and its
-    /// answers are untouched. This is the seam chaos tests use to inject
-    /// publish-path failures.
+    /// current snapshot and publish the result cold. A panicking rebuild
+    /// aborts transactionally: the error is recorded, the served epoch and
+    /// its answers are untouched. This is the seam chaos tests use to
+    /// inject publish-path failures.
     pub fn try_publish_with(
         &self,
         rebuild: impl FnOnce(&WebOfConcepts) -> WebOfConcepts,
@@ -656,17 +467,22 @@ impl ConceptServer {
         // an immutable snapshot; any state it was going to produce dies
         // with the unwind.
         let woc = catch_unwind(AssertUnwindSafe(|| rebuild(&snap.woc))).map_err(|payload| {
-            let msg = panic_message(payload);
-            self.record_maintain_failure(&msg);
-            MaintainError::RebuildPanicked(msg)
+            let err = MaintainError::from_panic(payload);
+            self.record_maintain_failure(&err);
+            err
         })?;
-        Ok(self.publish(woc))
+        let segments = cold_segments(&woc);
+        Ok(self.publish_delta_segmented(woc, &SegmentDelta::cold(), segments))
     }
 
-    fn record_maintain_failure(&self, msg: &str) {
+    /// Record a maintenance pass that failed before it could publish: the
+    /// server enters degraded mode (visible through [`Self::health`]) and
+    /// keeps answering from the last good snapshot until the next pass
+    /// reaches [`Self::publish_delta_segmented`].
+    pub fn record_maintain_failure(&self, err: &MaintainError) {
         self.failed_maintains.fetch_add(1, Ordering::Relaxed);
         self.consecutive_failures.fetch_add(1, Ordering::Relaxed);
-        *self.last_error.write() = Some(msg.to_string());
+        *self.last_error.write() = Some(err.to_string());
     }
 
     /// Push crawl-layer telemetry (breaker states, retries) into the
@@ -919,6 +735,16 @@ mod tests {
         build(&corpus, &PipelineConfig::default())
     }
 
+    /// Publish `woc` under `delta` with a freshly built segmented index.
+    fn publish(server: &ConceptServer, woc: WebOfConcepts, delta: &SegmentDelta) -> u64 {
+        let segments = cold_segments(&woc);
+        server.publish_delta_segmented(woc, delta, segments)
+    }
+
+    fn publish_cold(server: &ConceptServer, woc: WebOfConcepts) -> u64 {
+        publish(server, woc, &SegmentDelta::cold())
+    }
+
     #[test]
     fn search_hits_and_caches() {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
@@ -950,7 +776,7 @@ mod tests {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         server.search("gochi cupertino", 5);
         assert!(server.cache_len() > 0);
-        let epoch = server.publish(tiny_woc(902, 92));
+        let epoch = publish_cold(&server, tiny_woc(902, 92));
         assert_eq!(epoch, 2);
         assert_eq!(server.epoch(), 2);
         assert_eq!(server.cache_len(), 0, "publish clears the cache");
@@ -963,7 +789,7 @@ mod tests {
     fn old_snapshot_survives_publish() {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         let pinned = server.snapshot();
-        server.publish(tiny_woc(902, 92));
+        publish_cold(&server, tiny_woc(902, 92));
         assert_eq!(pinned.epoch, 1, "pinned epoch unchanged");
         assert!(pinned.woc.store.live_count() > 0, "old web still readable");
         assert_eq!(server.snapshot().epoch, 2);
@@ -1005,54 +831,11 @@ mod tests {
     }
 
     #[test]
-    fn maintain_publishes_new_epoch() {
-        let mut world = World::generate(WorldConfig::tiny(903));
-        let cfg = CorpusConfig::tiny(93);
-        let corpus_v1 = generate_corpus(&world, &cfg);
-        let woc = build(&corpus_v1, &PipelineConfig::default());
-        let server = ConceptServer::new(woc, ServeConfig::default());
-        server.search("gochi", 5);
-
-        let mut events = woc_webgen::churn_restaurants(&mut world, 0.5, Tick(10), 7);
-        let mut seed = 8;
-        while events.is_empty() {
-            events = woc_webgen::churn_restaurants(&mut world, 0.5, Tick(10), seed);
-            seed += 1;
-            assert!(seed < 1000, "no churn events after many seeds");
-        }
-        let corpus_v2 = generate_corpus(&world, &cfg);
-        let report = server.maintain(&corpus_v1, &corpus_v2, Tick(60));
-        assert_eq!(report.epoch, Some(2));
-        assert!(report.pages_scanned > 0);
-        assert!(report.pages_dirty > 0);
-        assert_eq!(server.cache_len(), 0);
-        assert_eq!(server.search("gochi", 5).epoch, 2);
-    }
-
-    #[test]
-    fn maintain_short_circuits_on_identical_corpus() {
-        let world = World::generate(WorldConfig::tiny(903));
-        let corpus = generate_corpus(&world, &CorpusConfig::tiny(93));
-        let woc = build(&corpus, &PipelineConfig::default());
-        let server = ConceptServer::new(woc, ServeConfig::default());
-        server.search("gochi", 5);
-        let warm = server.cache_len();
-        assert!(warm > 0);
-
-        let report = server.maintain(&corpus, &corpus, Tick(60));
-        assert_eq!(report.epoch, None, "no-op maintenance publishes nothing");
-        assert_eq!(report.pages_dirty, 0);
-        assert_eq!(server.epoch(), 1, "epoch unchanged");
-        assert_eq!(server.cache_len(), warm, "cache stays warm");
-        assert!(server.search("gochi", 5).cached);
-    }
-
-    #[test]
     fn publish_delta_empty_keeps_epoch_and_cache() {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         server.search("gochi", 5);
         let warm = server.cache_len();
-        let epoch = server.publish_delta(tiny_woc(901, 91), &EpochDelta::default());
+        let epoch = publish(&server, tiny_woc(901, 91), &SegmentDelta::default());
         assert_eq!(epoch, 1);
         assert_eq!(server.epoch(), 1);
         assert_eq!(server.cache_len(), warm);
@@ -1146,20 +929,19 @@ mod tests {
     fn publish_delta_scrubbed_to_noop_keeps_epoch_and_cache() {
         // Regression: a delta whose record and doc changes were all scrubbed
         // away (e.g. tombstone candidates that cancelled out) used to drop
-        // the whole warm cache just because `touched_concepts` was
-        // non-empty. It must behave exactly like an empty delta.
+        // the whole warm cache just because the pass had visited records.
+        // It must behave exactly like an empty delta.
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         server.search("gochi", 5);
         let warm = server.cache_len();
         assert!(warm > 0);
-        let delta = EpochDelta {
-            touched_concepts: vec![ConceptId(0), ConceptId(1)],
-            records_changed: false,
-            docs_changed: false,
+        let delta = SegmentDelta {
+            changed_records: vec![LrecId(0), LrecId(1)],
+            ..SegmentDelta::default()
         };
-        assert!(!delta.is_empty(), "the delta is non-empty…");
-        assert!(delta.is_effectively_empty(), "…but carries no changes");
-        let epoch = server.publish_delta(tiny_woc(901, 91), &delta);
+        assert_ne!(delta, SegmentDelta::default(), "the delta is non-empty…");
+        assert!(delta.is_noop(), "…but carries no changes");
+        let epoch = publish(&server, tiny_woc(901, 91), &delta);
         assert_eq!(epoch, 1, "no epoch bump for a scrubbed-to-no-op delta");
         assert_eq!(server.epoch(), 1);
         assert_eq!(server.cache_len(), warm, "cache survives");
@@ -1172,10 +954,10 @@ mod tests {
         let seen: Arc<RwLock<Vec<u64>>> = Arc::new(RwLock::new(Vec::new()));
         let sink = Arc::clone(&seen);
         server.on_publish(Box::new(move |snap| sink.write().push(snap.epoch)));
-        server.publish(tiny_woc(902, 92));
-        // Effectively-empty delta → no publish → hook must not fire.
-        server.publish_delta(tiny_woc(901, 91), &EpochDelta::default());
-        server.publish(tiny_woc(903, 93));
+        publish_cold(&server, tiny_woc(902, 92));
+        // No-op delta → no publish → hook must not fire.
+        publish(&server, tiny_woc(901, 91), &SegmentDelta::default());
+        publish_cold(&server, tiny_woc(903, 93));
         assert_eq!(*seen.read(), vec![2, 3]);
     }
 
@@ -1183,13 +965,13 @@ mod tests {
     fn publish_delta_nonempty_bumps_and_clears() {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         server.search("gochi", 5);
-        let delta = EpochDelta {
-            touched_concepts: vec![ConceptId(0)],
+        let delta = SegmentDelta {
             records_changed: true,
-            docs_changed: false,
+            stats_repinned: true,
+            ..SegmentDelta::default()
         };
-        assert!(!delta.is_empty());
-        let epoch = server.publish_delta(tiny_woc(902, 92), &delta);
+        assert!(!delta.is_noop());
+        let epoch = publish(&server, tiny_woc(902, 92), &delta);
         assert_eq!(epoch, 2);
         assert_eq!(server.cache_len(), 0);
     }

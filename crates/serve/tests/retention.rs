@@ -10,7 +10,7 @@ use woc_apps::interpret_query;
 use woc_core::{build, PipelineConfig, WebOfConcepts};
 use woc_index::{scoped_term, LrecIndex, MergePolicy, RecordChange};
 use woc_lrec::{ConceptId, LrecId, Tick};
-use woc_serve::{ConceptServer, Endpoint, EpochDelta, SegmentDelta, ServeConfig};
+use woc_serve::{ConceptServer, Endpoint, SegmentDelta, ServeConfig};
 use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, World, WorldConfig};
 
 fn build_woc(world_seed: u64, corpus_seed: u64) -> WebOfConcepts {
@@ -45,12 +45,11 @@ fn doc_only_delta_retains_search_entries() {
     assert!(!b1.cached);
     let snap1 = server.snapshot();
 
-    let delta = EpochDelta {
-        touched_concepts: vec![],
-        records_changed: false,
+    let delta = SegmentDelta {
         docs_changed: true,
+        ..SegmentDelta::default()
     };
-    let epoch = server.publish_delta(woc, &delta);
+    let epoch = server.publish_delta_segmented(woc, &delta, Arc::clone(&snap1.segments));
     assert_eq!(epoch, 2, "a doc-plane delta is a real publish");
 
     // The record plane is untouched: the segmented index ships forward
@@ -241,11 +240,8 @@ fn segmented_delta_retains_untouched_entries_byte_identically() {
         .summary()
         .cache_hits;
     let delta = SegmentDelta {
-        base: EpochDelta {
-            touched_concepts: vec![],
-            records_changed: true,
-            docs_changed: true,
-        },
+        records_changed: true,
+        docs_changed: true,
         changed_terms: changed_terms.iter().cloned().collect(),
         changed_records: changed_records.iter().copied().collect(),
         stats_repinned: outcome.repinned,
@@ -305,11 +301,8 @@ fn repinned_stats_drop_the_whole_cache() {
 
     let segments = Arc::new(v1.segmented_record_index(MergePolicy::default()));
     let delta = SegmentDelta {
-        base: EpochDelta {
-            touched_concepts: vec![],
-            records_changed: true,
-            docs_changed: false,
-        },
+        records_changed: true,
+        docs_changed: false,
         changed_terms: vec![],
         changed_records: vec![],
         stats_repinned: true,
@@ -318,4 +311,66 @@ fn repinned_stats_drop_the_whole_cache() {
     assert_eq!(epoch, 2);
     assert_eq!(server.cache_len(), 0, "re-pinned stats drop everything");
     assert!(!server.search("gochi cupertino", 5).cached);
+}
+
+/// The one door is the old doors, part 1: a cold publish — the cold delta
+/// over a freshly built index, here through `try_publish_with` — installs a
+/// merge-point index that flattens to the new web's flat index and leaves
+/// nothing cached. This is what the deleted `publish` guaranteed.
+#[test]
+fn cold_publish_installs_a_fresh_merge_point_and_an_empty_cache() {
+    let server = ConceptServer::new(build_woc(901, 91), ServeConfig::default());
+    server.search("gochi cupertino", 5);
+    server.concept_box("gochi cupertino");
+    assert!(server.cache_len() > 0);
+
+    let v2 = build_woc(902, 92);
+    let flat_digest = v2.record_index.digest();
+    assert_eq!(server.try_publish_with(|_| v2), Ok(2));
+    let snap = server.snapshot();
+    assert_eq!(snap.epoch, 2);
+    assert_eq!(snap.segments.flatten().digest(), flat_digest);
+    assert_eq!(snap.segments.delta_count(), 0, "cold index is one base");
+    assert_eq!(server.cache_len(), 0, "a cold publish keeps nothing cached");
+}
+
+/// The one door is the old doors, part 2: a no-op delta — however much
+/// scope it lists — neither bumps the epoch, fires a publish hook, nor
+/// touches the cache. Three copies of this guard used to exist; this is
+/// the one check of the one that is left.
+#[test]
+fn noop_delta_keeps_epoch_hooks_and_cache() {
+    let woc = build_woc(901, 91);
+    let server = ConceptServer::new(woc.clone(), ServeConfig::default());
+    let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let sink = Arc::clone(&fired);
+    server.on_publish(Box::new(move |_| {
+        sink.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }));
+    let s1 = server.search("gochi cupertino", 5);
+    server.concept_box("gochi cupertino");
+    let warm = server.cache_len();
+    let snap1 = server.snapshot();
+
+    let delta = SegmentDelta {
+        changed_terms: vec!["gochi".to_string()],
+        changed_records: vec![LrecId(0)],
+        stats_repinned: true,
+        ..SegmentDelta::default()
+    };
+    assert!(delta.is_noop());
+    let segments = Arc::new(woc.segmented_record_index(MergePolicy::default()));
+    assert_eq!(server.publish_delta_segmented(woc, &delta, segments), 1);
+
+    assert_eq!(server.epoch(), 1);
+    assert!(Arc::ptr_eq(&snap1, &server.snapshot()), "no snapshot swap");
+    assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 0);
+    assert_eq!(server.cache_len(), warm);
+    let s2 = server.search("gochi cupertino", 5);
+    assert!(s2.cached, "scoped entries still hit");
+    assert!(Arc::ptr_eq(&s1.value, &s2.value));
+    assert!(
+        server.concept_box("gochi cupertino").cached,
+        "and scopeless"
+    );
 }

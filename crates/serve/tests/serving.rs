@@ -98,10 +98,10 @@ fn epoch_swap_under_concurrent_load() {
                 let woc_v2 = woc_v2.clone();
                 scope.spawn(move |_| {
                     std::thread::sleep(std::time::Duration::from_millis(2));
-                    server.publish(woc_v2)
+                    server.try_publish_with(|_| woc_v2)
                 })
             };
-            assert_eq!(publisher.join().unwrap(), 2);
+            assert_eq!(publisher.join().unwrap(), Ok(2));
             handles
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
@@ -154,8 +154,8 @@ fn cache_is_transparent() {
 
     // Invalidation cycle: republish the *same* web as a new epoch. The cache
     // is cleared; fresh fills and fresh hits must still match the reference.
-    let epoch = server.publish(woc);
-    assert_eq!(epoch, 2);
+    let epoch = server.try_publish_with(|_| woc);
+    assert_eq!(epoch, Ok(2));
     assert_eq!(server.cache_len(), 0);
     for q in &queries {
         let refill = server.execute(q);

@@ -5,7 +5,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use woc_audit::{audit_with_stream, Audit, AuditConfig, MicroEpochView, PageChangeView};
+use woc_audit::{
+    audit, check_segments, check_stream_epochs, Audit, AuditConfig, MicroEpochView, PageChangeView,
+};
 use woc_core::{PipelineConfig, WebOfConcepts};
 use woc_extract::lists::ConceptProfile;
 use woc_extract::ExtractedRecord;
@@ -217,12 +219,13 @@ impl StreamEngine {
     /// Run the full audit over the engine's web, segmented index and
     /// micro-epoch journal: W001–W012, W014, and the stream's own W015.
     pub fn audit(&self, cfg: &AuditConfig) -> Audit {
-        audit_with_stream(
-            self.incr.web(),
-            self.incr.segments(),
-            &self.journal_views(),
-            cfg,
-        )
+        let woc = self.incr.web();
+        let mut a = audit(woc, cfg);
+        a.checks
+            .push(check_segments(woc, self.incr.segments(), cfg));
+        a.checks
+            .push(check_stream_epochs(&self.journal_views(), cfg));
+        a
     }
 
     /// Install a pre-publish gate on the underlying maintenance engine

@@ -6,7 +6,7 @@
 //! whatever corpus the degraded crawl produced.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use woc_audit::AuditConfig;
@@ -191,11 +191,20 @@ fn failed_publishes_coalesce_and_retry_quiesces() {
     let corpus_cfg = CorpusConfig::tiny(52);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
     let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config());
-    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+    let server = Arc::new(ConceptServer::new(
+        engine.web().clone(),
+        ServeConfig::default(),
+    ));
 
+    // Each pass records the failure streak the server reports as it starts.
+    let streaks: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let (observer, seen) = (Arc::clone(&server), Arc::clone(&streaks));
     let rejections = Arc::new(AtomicUsize::new(0));
     let gate = Arc::clone(&rejections);
     engine.set_fault_hook(Box::new(move |_changes| {
+        seen.lock()
+            .expect("streak log poisoned")
+            .push(observer.health().consecutive_failures);
         if gate.fetch_add(1, Ordering::SeqCst) < 2 {
             Err("injected: maintenance rejected".to_string())
         } else {
@@ -218,6 +227,22 @@ fn failed_publishes_coalesce_and_retry_quiesces() {
         .iter()
         .all(|m| m.contains("injected")));
 
+    // Every failed micro-epoch reached the server: the pass after a failure
+    // starts degraded, the first accepted pass (the third) ends the streak,
+    // and the server is degraded now exactly if the last pass failed.
+    let streaks = streaks.lock().expect("streak log poisoned").clone();
+    let expected: Vec<u64> = (0..streaks.len() as u64)
+        .map(|pass| if pass <= 2 { pass } else { 0 })
+        .collect();
+    assert_eq!(streaks, expected);
+    let health = server.health();
+    assert_eq!(health.failed_maintains, report.publish_failures as u64);
+    assert_eq!(health.degraded, report.pending_carryover > 0);
+    assert!(health
+        .last_error
+        .as_deref()
+        .is_some_and(|m| m.contains("injected: maintenance rejected")));
+
     // Whether the stream already recovered in-run (later cuts retry the
     // coalesced batch) or still carries pending work, a quiesce retry with
     // no new events must finish the job.
@@ -225,6 +250,10 @@ fn failed_publishes_coalesce_and_retry_quiesces() {
     let retry = engine.run(Vec::new(), &server);
     assert_eq!(retry.publish_failures, 0);
     assert_eq!(engine.pending_len(), 0, "retry must drain the carry-over");
+    let healed = server.health();
+    assert!(!healed.degraded, "a clean retry run clears degraded mode");
+    assert_eq!(healed.consecutive_failures, 0);
+    assert_eq!(healed.failed_maintains, health.failed_maintains);
 
     let fresh = build(&corpus_v2, &stream_config().pipeline);
     assert_eq!(canonical_bytes(engine.web()), canonical_bytes(&fresh));

@@ -206,12 +206,18 @@ impl ChurnEvent {
     }
 }
 
-/// Mutate a fraction `rate` of restaurants at `tick`. Closures are kept rare
-/// (a tenth of churn events) so the corpus keeps most of its pages.
+/// Mutate a fraction `rate` of the restaurants still open at `tick`.
+/// Closures are kept rare (a tenth of churn events) so the corpus keeps most
+/// of its pages; a restaurant an earlier round closed is never rolled again.
 pub fn churn_restaurants(world: &mut World, rate: f64, tick: Tick, seed: u64) -> Vec<ChurnEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut events = Vec::new();
-    let ids: Vec<LrecId> = world.restaurants.clone();
+    let ids: Vec<LrecId> = world
+        .restaurants
+        .iter()
+        .copied()
+        .filter(|&id| world.store.resolve(id) == Some(id))
+        .collect();
     for id in ids {
         if !rng.random_bool(rate.clamp(0.0, 1.0)) {
             continue;
@@ -360,6 +366,44 @@ mod tests {
                 assert!(now.contains(&formatted), "new phone present");
             }
         }
+    }
+
+    #[test]
+    fn churn_survives_many_rounds_on_one_world() {
+        let mut w = World::generate(WorldConfig::tiny(84));
+        let mut closed: Vec<LrecId> = Vec::new();
+        for round in 0..12u64 {
+            for e in churn_restaurants(&mut w, 0.5, Tick(10 + round), round) {
+                assert!(
+                    !closed.contains(&e.entity()),
+                    "round {round} re-rolled closed restaurant {:?}",
+                    e.entity()
+                );
+                if let ChurnEvent::Closed(id) = e {
+                    closed.push(id);
+                }
+            }
+        }
+        assert!(
+            !closed.is_empty(),
+            "twelve rounds at 0.5 must close something"
+        );
+    }
+
+    /// Restricting the roll to open restaurants moves no RNG draw while
+    /// nothing is closed: the first round's events are pinned.
+    #[test]
+    fn churn_first_round_is_pinned() {
+        let mut w = World::generate(WorldConfig::tiny(84));
+        let events = churn_restaurants(&mut w, 0.5, Tick(10), 5);
+        assert_eq!(
+            events,
+            vec![
+                ChurnEvent::HoursChanged(LrecId(0), "7am - 8pm".to_string()),
+                ChurnEvent::Closed(LrecId(25)),
+                ChurnEvent::PhoneChanged(LrecId(72), "3125557354".to_string()),
+            ]
+        );
     }
 
     #[test]
