@@ -53,6 +53,7 @@ use woc_index::lrec_index::FieldQuery;
 use woc_index::SegmentedLrecIndex;
 use woc_lrec::{AttrValue, Cardinality, LrecId, Violation};
 use woc_textkit::tokenize::tokenize_words;
+use woc_textkit::Fnv1a;
 use woc_webgen::page::url_host;
 
 /// Tunables for the audit.
@@ -550,34 +551,26 @@ pub struct MicroEpochView {
 /// engine (to stamp watermarks) and W015 (to verify them) call this; there
 /// is deliberately no second implementation to drift.
 pub fn stream_digest(prev_digest: u64, changed_pages: &[PageChangeView]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn eat(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    fn eat_fp(h: &mut u64, fp: Option<u64>) {
+    fn eat_fp(h: &mut Fnv1a, fp: Option<u64>) {
         match fp {
             Some(v) => {
-                eat(h, &[1]);
-                eat(h, &v.to_le_bytes());
+                h.bytes(&[1]);
+                h.u64(v);
             }
-            None => eat(h, &[0]),
+            None => h.bytes(&[0]),
         }
     }
     let mut sorted: Vec<&PageChangeView> = changed_pages.iter().collect();
     sorted.sort_by(|a, b| a.url.cmp(&b.url));
-    let mut h = OFFSET;
-    eat(&mut h, &prev_digest.to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.u64(prev_digest);
     for pc in sorted {
-        eat(&mut h, pc.url.as_bytes());
-        eat(&mut h, &[0xff]);
+        h.str(&pc.url);
+        h.bytes(&[0xff]);
         eat_fp(&mut h, pc.old_fp);
         eat_fp(&mut h, pc.new_fp);
     }
-    h
+    h.finish()
 }
 
 /// W015: stream watermark — the micro-epoch journal must advance

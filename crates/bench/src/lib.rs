@@ -1,8 +1,11 @@
-//! # woc-bench — the benchmark/experiment harness
+//! # woc-bench — the experiment harness
 //!
-//! Shared fixtures and table-printing helpers for the experiment binaries
-//! (`src/bin/*.rs`, one per experiment id of DESIGN.md §4) and the criterion
-//! microbenches (`benches/*.rs`).
+//! Shared fixtures and table-printing helpers for the paper-reproduction
+//! binaries (`src/bin/*.rs`, one per experiment id of DESIGN.md §4, plus the
+//! fault- and spam-tolerance sweeps `chaos_bench` and `truth_bench`) and the
+//! criterion microbenches of leaf functions (`benches/*.rs`). System
+//! performance — serving, maintenance, streaming, cluster — is not measured
+//! here: that is the `perf/` package declared in `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,51 +83,6 @@ pub fn metric_row(metric: &str, value: impl std::fmt::Display) {
 /// Format a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
-}
-
-/// The `p`-th percentile (0–100) of an unsorted sample set, nearest-rank.
-/// Returns 0 for an empty set — benches print it rather than crash when a
-/// phase produced no samples.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// A full recrawl as a stream event sequence: every page of the new crawl
-/// as an update (unchanged ones dedup away at the fingerprint stage) plus
-/// a removal for every URL that vanished.
-pub fn recrawl_events(old: &WebCorpus, new: &WebCorpus) -> Vec<woc_stream::PageEvent> {
-    let mut events: Vec<woc_stream::PageEvent> = new
-        .pages()
-        .iter()
-        .cloned()
-        .map(woc_stream::PageEvent::Updated)
-        .collect();
-    for p in old.pages() {
-        if new.get(&p.url).is_none() {
-            events.push(woc_stream::PageEvent::Removed(p.url.clone()));
-        }
-    }
-    events
-}
-
-/// True when `at` (an offset from a streaming run's start) falls inside
-/// any publish window. `publishes` pairs each publish's completion offset
-/// with how long the maintain-and-publish pass took — the window is the
-/// pass itself, so answers landing in it were served *while* an epoch was
-/// being built and swapped.
-pub fn during_publish(
-    at: std::time::Duration,
-    publishes: &[(std::time::Duration, std::time::Duration)],
-) -> bool {
-    publishes
-        .iter()
-        .any(|&(done, took)| at >= done.saturating_sub(took) && at <= done)
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 use std::collections::BTreeMap;
 
 use woc_core::SiteCoverage;
-use woc_webgen::WebCorpus;
+use woc_webgen::{Fnv1a, WebCorpus};
 
 use crate::backoff::{Backoff, RetryPolicy};
 use crate::breaker::{BreakerState, CircuitBreaker};
-use crate::fault::{fnv, mix, Delivery, FaultInjector, FaultProfile, GARBLE_LIMIT};
+use crate::fault::{mix, Delivery, FaultInjector, FaultProfile, GARBLE_LIMIT};
 
 /// Deterministic time: microseconds that would have elapsed, accumulated
 /// instead of slept.
@@ -202,7 +202,7 @@ pub fn crawl(
         });
         tally.expected += 1;
 
-        let mut backoff = Backoff::new(policy, mix(seed, fnv(&page.url)));
+        let mut backoff = Backoff::new(policy, mix(seed, Fnv1a::of(&page.url)));
         let verdict = loop {
             if !breaker.allows(clock.now()) {
                 break Verdict::GaveUp {

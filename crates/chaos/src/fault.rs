@@ -7,18 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use woc_webgen::Page;
-
-/// FNV-1a over a string (same constants as the index digests) — the stable
-/// per-URL / per-site identity that keys fault rolls.
-pub(crate) fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use woc_webgen::{Fnv1a, Page};
 
 /// Deterministically combine two 64-bit values into an RNG seed.
 pub(crate) fn mix(a: u64, b: u64) -> u64 {
@@ -253,7 +242,7 @@ impl FaultInjector {
         if self.profile.flaky_site_fraction <= 0.0 {
             return false;
         }
-        StdRng::seed_from_u64(mix(self.seed, fnv(site)))
+        StdRng::seed_from_u64(mix(self.seed, Fnv1a::of(site)))
             .random_bool(self.profile.flaky_site_fraction.min(1.0))
     }
 
@@ -271,7 +260,7 @@ impl FaultInjector {
             return false;
         }
         let window = site_seq / self.profile.flap_period;
-        StdRng::seed_from_u64(mix(self.seed ^ FLAP_SALT, mix(fnv(site), window)))
+        StdRng::seed_from_u64(mix(self.seed ^ FLAP_SALT, mix(Fnv1a::of(site), window)))
             .random_bool(self.site_rate(self.profile.flap_duty, site).min(1.0))
     }
 
@@ -285,7 +274,8 @@ impl FaultInjector {
         attempt: u32,
         site_seq: u64,
     ) -> (u64, Result<Delivery, FetchError>) {
-        let mut rng = StdRng::seed_from_u64(mix(self.seed, mix(fnv(&page.url), attempt as u64)));
+        let mut rng =
+            StdRng::seed_from_u64(mix(self.seed, mix(Fnv1a::of(&page.url), attempt as u64)));
         let latency = {
             let u: f64 = rng.random();
             let jittered = self.profile.latency_micros as f64

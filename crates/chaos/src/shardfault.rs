@@ -24,7 +24,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::{fnv, mix};
+use woc_webgen::Fnv1a;
+
+use crate::fault::mix;
 
 /// Salt separating replica-flap rolls from request-latency rolls.
 const SHARD_FLAP_SALT: u64 = 0x7368_666c;
@@ -131,7 +133,7 @@ impl ShardFaultInjector {
 
     /// Stable per-slot identity for fault rolls.
     fn slot_key(shard: usize, replica: usize) -> u64 {
-        fnv(&format!("shard-{shard}/replica-{replica}"))
+        Fnv1a::of(&format!("shard-{shard}/replica-{replica}"))
     }
 
     /// Is this replica unreachable at virtual time `now_micros`?

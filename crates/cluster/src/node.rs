@@ -25,18 +25,16 @@ use woc_core::{doc_tokens, WebOfConcepts};
 use woc_index::{scoped_term, FieldQuery, InvertedIndex, LrecIndex, RecordHit, ScoringStats};
 use woc_lrec::LrecId;
 use woc_serve::Snapshot;
+use woc_textkit::Fnv1a;
 use woc_webgen::WebCorpus;
 
 use crate::partition::PartitionMap;
 
-/// FNV-1a step over a u64, for composing content digests.
+/// Chain digest `v` onto digest `h`.
 fn mix64(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for i in 0..8 {
-        h ^= (v >> (i * 8)) & 0xff;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::resume(h);
+    h.u64(v);
+    h.finish()
 }
 
 /// The record side of one shard: a [`LrecIndex`] over owned records plus
@@ -168,18 +166,19 @@ pub fn record_entries_digest(
     shard: usize,
     stats: &ScoringStats,
 ) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = Fnv1a::new();
     for id in pm.records_of_shard(shard) {
         let Some(rec) = woc.store.latest(id) else {
             continue;
         };
-        h = mix64(h, id.0);
-        h = mix64(h, rec.concept().0 as u64);
+        h.u64(id.0);
+        h.u64(rec.concept().0 as u64);
         for t in LrecIndex::record_tokens(rec) {
-            h = mix64(h, crate::partition::fnv64(&t));
+            h.u64(Fnv1a::of(&t));
         }
     }
-    mix64(h, stats.digest())
+    h.u64(stats.digest());
+    h.finish()
 }
 
 /// Digest of the doc side's inputs: owned `(global position, url, token
@@ -190,18 +189,19 @@ pub fn doc_entries_digest(
     pm: &PartitionMap,
     shard: usize,
 ) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = Fnv1a::new();
     for pos in pm.doc_positions_of_shard(woc, shard) {
         let url = &woc.doc_urls[pos as usize];
-        h = mix64(h, pos as u64);
-        h = mix64(h, crate::partition::fnv64(url));
+        h.u64(pos as u64);
+        h.u64(Fnv1a::of(url));
         if let Some(page) = corpus.get(url) {
             for t in doc_tokens(page) {
-                h = mix64(h, crate::partition::fnv64(&t));
+                h.u64(Fnv1a::of(&t));
             }
         }
     }
-    mix64(h, woc.doc_index.scoring_stats().digest())
+    h.u64(woc.doc_index.scoring_stats().digest());
+    h.finish()
 }
 
 /// Build the record side of `shard` from the web and its partition map.

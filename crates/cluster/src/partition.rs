@@ -18,18 +18,7 @@ use std::collections::BTreeMap;
 
 use woc_core::{AssocKind, WebOfConcepts};
 use woc_lrec::LrecId;
-
-/// FNV-1a over a string — the stable hash behind shard assignment. Kept
-/// local (rather than reusing a hasher from `std`) so the assignment never
-/// moves under a std hasher change.
-pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use woc_textkit::Fnv1a;
 
 /// The host portion of a corpus URL (`http://host/path` → `host`). Falls
 /// back to the whole string when no scheme separator is present.
@@ -95,7 +84,7 @@ impl PartitionMap {
         let mut groups: Vec<PartitionGroup> = by_key
             .into_iter()
             .map(|(key, records)| {
-                let shard = (fnv64(&key) % shards as u64) as usize;
+                let shard = (Fnv1a::of(&key) % shards as u64) as usize;
                 PartitionGroup {
                     key,
                     shard,
@@ -135,7 +124,7 @@ impl PartitionMap {
             .doc_urls
             .iter()
             .map(|url| {
-                let shard = (fnv64(host_of(url)) % shards as u64) as usize;
+                let shard = (Fnv1a::of(host_of(url)) % shards as u64) as usize;
                 (url.clone(), shard)
             })
             .collect();
@@ -269,6 +258,27 @@ mod tests {
         assert_eq!(host_of("http://yolp.test/r/3"), "yolp.test");
         assert_eq!(host_of("city-eats.test/list"), "city-eats.test");
         assert_eq!(host_of("bare"), "bare");
+    }
+
+    /// Shard assignment is FNV-1a of the key modulo the width; these values
+    /// were computed with the written-out loop this crate used to carry.
+    #[test]
+    fn doc_shard_assignment_is_pinned() {
+        let mut woc = tiny_woc();
+        woc.doc_urls = vec![
+            "http://yolp.test/r/3".into(),
+            "http://city-eats.test/list".into(),
+            "http://guide.example/dining/gochi.html".into(),
+        ];
+        let at = |shards| {
+            let pm = PartitionMap::build(&woc, shards, 100.0);
+            woc.doc_urls
+                .iter()
+                .map(|u| pm.shard_of_doc(u).expect("doc owned"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(at(7), [3, 2, 0]);
+        assert_eq!(at(4), [1, 0, 3]);
     }
 
     #[test]

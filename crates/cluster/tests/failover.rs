@@ -162,10 +162,14 @@ fn assert_audit_clean(cluster: &ClusterServer, ctx: &str) {
 }
 
 /// Healthy cluster, every width: scatter-gather search, doc search, and
-/// routed lookup are byte-identical to the single-node paths.
+/// routed lookup are byte-identical to the single-node paths, and the
+/// virtual cost of the search pool never grows with the shard count —
+/// `postings_cost` partitions the posting walk, and a query costs its
+/// slowest shard.
 #[test]
 fn healthy_cluster_is_byte_identical_at_every_width() {
     let (corpus, woc) = fixture();
+    let mut pool_micros = Vec::new();
     for shards in [1, 2, 4] {
         let cluster = cluster_over(
             woc,
@@ -176,8 +180,10 @@ fn healthy_cluster_is_byte_identical_at_every_width() {
             },
         );
         assert_eq!(cluster.epoch(), 1);
+        let mut micros = 0;
         for (q, k) in search_pool() {
             let ans = cluster.search(q, k);
+            micros += ans.virtual_micros;
             assert!(ans.coverage.is_complete(), "[N={shards}] {q:?} degraded");
             assert_eq!(ans.epoch, 1);
             assert_identical(
@@ -210,7 +216,12 @@ fn healthy_cluster_is_byte_identical_at_every_width() {
         assert!(miss.result.is_none());
         assert_eq!(cluster.stats().partial_answers, 0);
         assert_audit_clean(&cluster, &format!("healthy N={shards}"));
+        pool_micros.push(micros);
     }
+    assert!(
+        pool_micros.windows(2).all(|w| w[1] <= w[0]) && pool_micros[2] < pool_micros[0],
+        "search-pool virtual micros at N=1,2,4 must fall with width: {pool_micros:?}"
+    );
 }
 
 /// Kill any single replica of any shard: the quorum keeps every answer

@@ -19,7 +19,7 @@ use woc_lrec::{AttrValue, Provenance, Tick};
 use woc_webgen::WebCorpus;
 
 use crate::graph::AssocKind;
-use crate::pipeline::{extract_page, type_value, WebOfConcepts};
+use crate::pipeline::{document_plane, extract_page, index_texts, type_value, WebOfConcepts};
 
 /// What a maintenance pass did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -215,7 +215,8 @@ pub fn recrawl(
         }
     }
 
-    // Rebuild the record index (segment-rebuild model).
+    // Rebuild the record index (segment-rebuild model) and the document
+    // plane: removed and rewritten pages must stop serving their old text.
     let mut index = woc_index::LrecIndex::new();
     for id in woc.store.live_ids() {
         index.add(
@@ -225,6 +226,8 @@ pub fn recrawl(
         );
     }
     woc.record_index = index;
+    (woc.doc_index, woc.doc_urls, woc.doc_titles) =
+        document_plane(new.pages(), &woc.lineage, index_texts);
 
     report
 }
@@ -234,7 +237,10 @@ mod tests {
     use super::*;
     use crate::pipeline::{build, PipelineConfig};
     use woc_lrec::AttrValue;
-    use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, World, WorldConfig};
+    use woc_webgen::{
+        churn_restaurants, generate_corpus, CorpusConfig, Node, Page, PageKind, PageTruth, World,
+        WorldConfig,
+    };
 
     #[test]
     fn unchanged_corpus_is_free() {
@@ -325,6 +331,48 @@ mod tests {
             !woc.record_index.indexed_ids().contains(&victim),
             "its postings must be gone"
         );
+    }
+
+    #[test]
+    fn recrawl_refreshes_the_document_plane() {
+        let note = |path: &str, title: &str| Page {
+            url: format!("http://notes.example.com/{path}"),
+            site: "notes.example.com".into(),
+            title: title.into(),
+            dom: Node::elem("html").child(Node::elem("p").text_child("nothing to extract")),
+            truth: PageTruth {
+                kind: PageKind::Article,
+                about: None,
+                records: vec![],
+                mentions: vec![],
+            },
+        };
+        let world = World::generate(WorldConfig::tiny(215));
+        let crawl = generate_corpus(&world, &CorpusConfig::tiny(17));
+        let mut corpus_v1 = crawl.clone();
+        corpus_v1.add(note("gone.html", "zyzzyva"));
+        corpus_v1.add(note("kept.html", "quokka"));
+        let mut corpus_v2 = crawl;
+        corpus_v2.add(note("kept.html", "wombat"));
+
+        let mut woc = build(&corpus_v1, &PipelineConfig::default());
+        assert_eq!(woc.doc_index.search("zyzzyva", 3).len(), 1);
+        recrawl(&mut woc, &corpus_v1, &corpus_v2, Tick(60));
+
+        let gone = "http://notes.example.com/gone.html";
+        assert!(!woc.doc_urls.iter().any(|u| u == gone));
+        assert!(woc.doc_index.search("zyzzyva", 3).is_empty());
+        assert!(woc.doc_index.search("quokka", 3).is_empty());
+        let hits = woc.doc_index.search("wombat", 3);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(
+            woc.doc_url(hits[0].doc),
+            "http://notes.example.com/kept.html"
+        );
+        assert_eq!(woc.doc_titles[hits[0].doc.0 as usize], "wombat");
+        let fresh = build(&corpus_v2, &PipelineConfig::default());
+        assert_eq!(woc.doc_index.digest(), fresh.doc_index.digest());
+        assert_eq!(woc.doc_urls, fresh.doc_urls);
     }
 
     #[test]

@@ -28,31 +28,10 @@ use woc_extract::ExtractedRecord;
 use woc_index::{DocId, InvertedIndex, LrecIndex};
 use woc_lrec::{ConceptId, Lrec, LrecId};
 use woc_textkit::tokenize::tokenize_words;
+use woc_textkit::Fnv1a;
 use woc_webgen::Page;
 
 use crate::parallel::shard_map;
-
-/// FNV-1a over arbitrary bytes (same constants as the index digests).
-#[derive(Debug)]
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    pub(crate) fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    pub(crate) fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-    pub(crate) fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
-    }
-}
 
 /// Id-free content digest of a record: its concept plus every attribute's
 /// entries (values and provenance), excluding the record id itself. Keyed
@@ -63,27 +42,26 @@ impl Fnv {
 /// collision would silently reuse a score; with ~10³ records per pass the
 /// collision probability is ~10⁻¹³ — accepted.
 pub(crate) fn content_digest(rec: &Lrec) -> u64 {
-    let mut h = Fnv::new();
-    h.word(u64::from(rec.concept().0));
+    let mut h = Fnv1a::new();
+    h.u64(u64::from(rec.concept().0));
     for (key, entries) in rec.iter() {
         // Lrec::iter() yields attributes in BTreeMap (sorted) order.
-        h.bytes(key.as_bytes());
-        h.byte(0xff);
-        h.bytes(format!("{entries:?}").as_bytes());
-        h.byte(0xfe);
+        h.str(key);
+        h.bytes(&[0xff]);
+        h.str(&format!("{entries:?}"));
+        h.bytes(&[0xfe]);
     }
-    h.0
+    h.finish()
 }
 
 /// Digest of a sorted, deduplicated name list — the mention-scan memo's
 /// target-set key.
 pub(crate) fn digest_strs(items: &[&str]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     for s in items {
-        h.word(s.len() as u64);
-        h.bytes(s.as_bytes());
+        h.framed_str(s);
     }
-    h.0
+    h.finish()
 }
 
 /// The tokens [`crate::pipeline::build`] indexes for a page: title plus

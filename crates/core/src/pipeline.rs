@@ -1029,21 +1029,7 @@ pub fn build_with_caches(
     report.stage_done("homepage", homepage_links, &mut t0);
 
     // --- Stage G: indexes ---------------------------------------------------
-    // Distrusted sites serve nothing: their pages are excluded from the
-    // document index and tables. Adversarial pages are appended after the
-    // honest corpus, so the surviving prefix — and with it every doc id —
-    // is byte-identical to a clean crawl's.
-    let (live_pages, live_fps): (Vec<&Page>, Vec<u64>) = if report.sites_distrusted > 0 {
-        pages
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !lineage.is_site_quarantined(&p.site))
-            .map(|(i, p)| (*p, page_fps.get(i).copied().unwrap_or(0)))
-            .unzip()
-    } else {
-        (pages.clone(), page_fps.clone())
-    };
-    let (record_index, doc_index) = match caches.as_deref_mut() {
+    let record_index = match caches.as_deref_mut() {
         Some(c) => {
             let entries: Vec<(LrecId, ConceptId, Vec<String>)> = store
                 .live_ids()
@@ -1055,9 +1041,7 @@ pub fn build_with_caches(
                     (id, rec.concept(), LrecIndex::record_tokens(rec))
                 })
                 .collect();
-            let record_index = c.record_index_with(entries);
-            let doc_index = c.doc_index_with(&live_pages, &live_fps, threads);
-            (record_index, doc_index)
+            c.record_index_with(entries)
         }
         None => {
             let mut record_index = LrecIndex::new();
@@ -1068,23 +1052,30 @@ pub fn build_with_caches(
                         .expect("invariant: live_ids() yields ids with a latest version"),
                 );
             }
-            let mut doc_index = InvertedIndex::new();
-            for page in &live_pages {
-                doc_index.add_text(&format!("{} {}", page.title, page.text()));
-            }
-            (record_index, doc_index)
+            record_index
         }
     };
-    let mut doc_urls = Vec::with_capacity(live_pages.len());
-    let mut doc_titles = Vec::with_capacity(live_pages.len());
-    for page in &live_pages {
-        doc_urls.push(page.url.clone());
-        doc_titles.push(page.title.clone());
-    }
+    let (doc_index, doc_urls, doc_titles) = match caches.as_deref_mut() {
+        // The patch-in-place cache wants each live page's fingerprint
+        // beside it.
+        Some(c) => document_plane(pages.iter().copied(), &lineage, |live| {
+            let (live_pages, live_fps): (Vec<&Page>, Vec<u64>) = live
+                .iter()
+                .map(|&(i, p)| {
+                    let fp = page_fps
+                        .get(i)
+                        .expect("invariant: cached builds fingerprint every page");
+                    (p, *fp)
+                })
+                .unzip();
+            c.doc_index_with(&live_pages, &live_fps, threads)
+        }),
+        None => document_plane(pages.iter().copied(), &lineage, index_texts),
+    };
     if let Some(c) = caches {
         c.end_pass();
     }
-    report.stage_done("index", store.live_count() + live_pages.len(), &mut t0);
+    report.stage_done("index", store.live_count() + doc_urls.len(), &mut t0);
 
     WebOfConcepts {
         registry,
@@ -1099,6 +1090,39 @@ pub fn build_with_caches(
         trust: trust_model,
         report,
     }
+}
+
+/// The document plane over a crawl: the index of each page's title and
+/// visible text, and the parallel URL and title tables. Distrusted sites
+/// serve nothing: their pages are excluded. Adversarial pages are appended
+/// after the honest corpus, so the surviving prefix — and with it every doc
+/// id — is byte-identical to a clean crawl's. `index` builds the inverted
+/// index over the surviving pages, each given with its position in `pages`.
+pub(crate) fn document_plane<'a>(
+    pages: impl IntoIterator<Item = &'a Page>,
+    lineage: &Lineage,
+    index: impl FnOnce(&[(usize, &'a Page)]) -> InvertedIndex,
+) -> (InvertedIndex, Vec<String>, Vec<String>) {
+    let live: Vec<(usize, &Page)> = pages
+        .into_iter()
+        .enumerate()
+        .filter(|(_, p)| !lineage.is_site_quarantined(&p.site))
+        .collect();
+    let doc_index = index(&live);
+    let (doc_urls, doc_titles) = live
+        .iter()
+        .map(|(_, p)| (p.url.clone(), p.title.clone()))
+        .unzip();
+    (doc_index, doc_urls, doc_titles)
+}
+
+/// [`document_plane`]'s uncached index: every live page tokenized afresh.
+pub(crate) fn index_texts(live: &[(usize, &Page)]) -> InvertedIndex {
+    let mut doc_index = InvertedIndex::new();
+    for (_, page) in live {
+        doc_index.add_text(&format!("{} {}", page.title, page.text()));
+    }
+    doc_index
 }
 
 /// The Fellegi–Sunter scorer for each concept.

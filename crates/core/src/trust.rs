@@ -45,6 +45,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use woc_lrec::{AttrValue, LrecId, SiteSupport};
+use woc_textkit::Fnv1a;
 
 /// Trust-model configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -345,37 +346,27 @@ impl TrustModel {
     }
 
     /// Digest of the model state that canonical snapshots hash: converged
-    /// trust, quarantine set and claim set. FNV-1a over a length-prefixed
-    /// encoding, same constants as the index digests.
+    /// trust, quarantine set and claim set, FNV-1a over a length-prefixed
+    /// encoding.
     pub fn digest(&self) -> u64 {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        fn eat_str(h: &mut u64, s: &str) {
-            eat(h, &(s.len() as u64).to_le_bytes());
-            eat(h, s.as_bytes());
-        }
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = Fnv1a::new();
         for (site, t) in &self.site_trust {
-            eat_str(&mut h, site);
-            eat_str(&mut h, &format!("{t:.12}"));
+            h.framed_str(site);
+            h.framed_str(&format!("{t:.12}"));
         }
         for (site, reason) in &self.quarantined {
-            eat_str(&mut h, site);
-            eat_str(&mut h, reason);
+            h.framed_str(site);
+            h.framed_str(reason);
         }
         for c in &self.claims {
-            eat_str(&mut h, &c.site);
-            eat_str(&mut h, &c.pool);
-            eat_str(&mut h, &c.attr);
-            eat_str(&mut h, &c.value.display_string());
-            eat_str(&mut h, &format!("{:.12}", c.confidence));
+            h.framed_str(&c.site);
+            h.framed_str(&c.pool);
+            h.framed_str(&c.attr);
+            h.framed_str(&c.value.display_string());
+            h.framed_str(&format!("{:.12}", c.confidence));
         }
-        eat(&mut h, &(self.selections.len() as u64).to_le_bytes());
-        h
+        h.u64(self.selections.len() as u64);
+        h.finish()
     }
 }
 

@@ -117,10 +117,6 @@ pub struct MaintainReport {
     /// is byte-identical — publishing it would drop a warm cache for
     /// nothing. Short-circuited passes report `false`.
     pub effective_change: bool,
-    /// URLs of every dirty, added or removed page this pass saw (sorted) —
-    /// the scope a partitioned serving tier (`woc-cluster`) uses to decide
-    /// which shard-local document indexes need rebuilding.
-    pub changed_pages: Vec<String>,
     /// Index terms whose posting lists this pass changed: the union of the
     /// old and new token sequences of every record whose indexed tokens
     /// moved (sorted, deduplicated). Exact — computed from the memo
@@ -367,13 +363,6 @@ impl IncrEngine {
             || report.records_tombstoned > 0;
         report.effective_change =
             cheap_change || canonical_bytes(&new_web) != canonical_bytes(&self.web);
-        report.changed_pages = {
-            let mut urls = changes.dirty.clone();
-            urls.extend(changes.added.iter().cloned());
-            urls.extend(changes.removed.iter().cloned());
-            urls.sort_unstable();
-            urls
-        };
 
         // The retention scope of the pass, in the cache's vocabulary: the
         // exact terms whose posting lists moved (from the memo layer's
@@ -622,7 +611,6 @@ mod tests {
             !report.effective_change,
             "…but recomputation produced a byte-identical web"
         );
-        assert_eq!(report.changed_pages, vec![corpus.pages()[0].url.clone()]);
         assert_eq!(epoch, 1, "no epoch bump for an ineffective pass");
         assert_eq!(server.epoch(), 1);
         assert_eq!(server.cache_len(), warm, "result cache stays warm");

@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 
 use woc_textkit::tokenize::tokenize_words;
+use woc_textkit::Fnv1a;
 
 use crate::postings::{intersect, DocId, Posting, PostingList};
 
@@ -97,27 +98,17 @@ impl ScoringStats {
     /// counters) — lets replicas assert they score through the same global
     /// statistics without comparing whole tables.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let byte = |h: &mut u64, b: u8| {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        };
-        let word = |h: &mut u64, w: u64| {
-            w.to_le_bytes().iter().for_each(|&b| {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100000001b3);
-            })
-        };
+        let mut h = Fnv1a::new();
         let mut terms: Vec<&String> = self.df.keys().collect();
         terms.sort_unstable();
         for t in terms {
-            t.bytes().for_each(|b| byte(&mut h, b));
-            byte(&mut h, 0xff);
-            word(&mut h, self.df[t] as u64);
+            h.str(t);
+            h.bytes(&[0xff]);
+            h.u64(self.df[t] as u64);
         }
-        word(&mut h, self.num_docs as u64);
-        word(&mut h, self.total_len);
-        h
+        h.u64(self.num_docs as u64);
+        h.u64(self.total_len);
+        h.finish()
     }
 }
 
@@ -363,36 +354,26 @@ impl InvertedIndex {
     /// content digest equal — the equality check behind the pipeline's
     /// any-thread-count determinism tests.
     pub fn digest(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-            fn word(&mut self, w: u64) {
-                w.to_le_bytes().iter().for_each(|&b| self.byte(b));
-            }
-        }
-        let mut h = Fnv(0xcbf29ce484222325);
+        let mut h = Fnv1a::new();
         let mut terms: Vec<&String> = self.terms.keys().collect();
         terms.sort_unstable();
         for t in terms {
-            t.bytes().for_each(|b| h.byte(b));
-            h.byte(0xff);
+            h.str(t);
+            h.bytes(&[0xff]);
             for p in self.terms[t].iter() {
-                h.word(p.doc.0 as u64);
-                h.word(p.tf as u64);
+                h.u64(p.doc.0 as u64);
+                h.u64(p.tf as u64);
             }
             for (doc, ps) in &self.positions[t] {
-                h.word(doc.0 as u64);
-                ps.iter().for_each(|&p| h.word(p as u64));
+                h.u64(doc.0 as u64);
+                ps.iter().for_each(|&p| h.u64(p as u64));
             }
         }
         for &l in &self.doc_lens {
-            h.word(l as u64);
+            h.u64(l as u64);
         }
-        h.word(self.total_len);
-        h.0
+        h.u64(self.total_len);
+        h.finish()
     }
 
     fn idf(&self, term: &str) -> f64 {

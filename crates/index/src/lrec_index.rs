@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use woc_lrec::{ConceptId, Lrec, LrecId};
 use woc_textkit::tokenize::tokenize_words;
+use woc_textkit::Fnv1a;
 
 use crate::index::{Hit, InvertedIndex, ScoringStats};
 use crate::postings::DocId;
@@ -238,15 +239,12 @@ impl LrecIndex {
     /// Content digest over the inner index and the record/concept mapping —
     /// see [`InvertedIndex::digest`].
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = self.inner.digest();
+        let mut h = Fnv1a::resume(self.inner.digest());
         for (id, concept) in &self.docs {
-            h ^= id.0;
-            h = h.wrapping_mul(PRIME);
-            h ^= concept.0 as u64;
-            h = h.wrapping_mul(PRIME);
+            h.fold(id.0);
+            h.fold(concept.0 as u64);
         }
-        h
+        h.finish()
     }
 
     /// Snapshot the corpus-global scoring statistics of the underlying

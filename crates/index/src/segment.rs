@@ -27,6 +27,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use woc_lrec::{ConceptId, LrecId};
+use woc_textkit::Fnv1a;
 
 use crate::index::{BlockMaxIndex, InvertedIndex, ScoringStats};
 use crate::lrec_index::{scoped_term, FieldQuery, LrecIndex, RecordHit};
@@ -144,15 +145,12 @@ impl LrecSegment {
 
     /// Content digest over the inner index and the record/concept mapping.
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = self.index.digest();
+        let mut h = Fnv1a::resume(self.index.digest());
         for (id, concept, _) in &self.entries {
-            h ^= id.0;
-            h = h.wrapping_mul(PRIME);
-            h ^= concept.0 as u64;
-            h = h.wrapping_mul(PRIME);
+            h.fold(id.0);
+            h.fold(concept.0 as u64);
         }
-        h
+        h.finish()
     }
 
     fn entry(&self, doc: DocId) -> (LrecId, ConceptId) {
@@ -528,26 +526,21 @@ impl SegmentedLrecIndex {
     /// Content digest over all segments, liveness, tombstones and the pinned
     /// stats — equal digests mean two replicas serve identical answers.
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100000001b3;
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(PRIME);
-        };
+        let mut h = Fnv1a::new();
         for slot in 0..self.segment_count() {
-            mix(self.slot(slot).digest());
+            h.fold(self.slot(slot).digest());
             let mut dead: Vec<u32> = self.dead[slot].iter().map(|d| d.0).collect();
             dead.sort_unstable();
             for d in dead {
-                mix(d as u64);
+                h.fold(d as u64);
             }
-            mix(u64::MAX);
+            h.fold(u64::MAX);
         }
         for id in &self.tombstones {
-            mix(id.0);
+            h.fold(id.0);
         }
-        mix(self.pinned.digest());
-        h
+        h.fold(self.pinned.digest());
+        h.finish()
     }
 
     /// Corrupt the liveness of `id` by reassigning it to `slot` (out of

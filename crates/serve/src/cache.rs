@@ -34,6 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use woc_lrec::LrecId;
+use woc_webgen::Fnv1a;
 
 /// What a cached search answer depends on, for sound per-entry retention
 /// across epochs: the rendered query terms (free terms plus
@@ -163,12 +164,7 @@ impl<V> ShardedCache<V> {
 
     fn shard_of(&self, key: &str) -> &Mutex<Shard<V>> {
         // FNV-1a; stable across runs so shard assignment is deterministic.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        &self.shards[(Fnv1a::of(key) % self.shards.len() as u64) as usize]
     }
 
     /// The current fill generation (the epoch of the last publish the

@@ -139,17 +139,6 @@ impl EndpointMetrics {
             p99_micros: percentile(0.99),
         }
     }
-
-    fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
-        self.total_micros.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Snapshot of one endpoint's counters.
@@ -219,39 +208,6 @@ impl MetricsRegistry {
             .get(e.index())
             .expect("invariant: Endpoint::index() is < the endpoint count")
     }
-
-    /// Zero every counter and bucket (between benchmark phases).
-    pub fn reset(&self) {
-        for e in &self.endpoints {
-            e.reset();
-        }
-    }
-
-    /// Render every endpoint's summary as the standard report block.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("serving metrics\n");
-        for e in Endpoint::ALL {
-            let s = self.endpoint(e).summary();
-            let _ = writeln!(
-                out,
-                "  {:<12} req {:>8}  hit {:>7}  miss {:>7}  err {:>5}  hit-rate {:>5.1}%  \
-                 budget {:>5.1}%  mean {:>8.1}µs  p50 {:>6}µs  p95 {:>6}µs  p99 {:>6}µs",
-                e.name(),
-                s.requests,
-                s.cache_hits,
-                s.cache_misses,
-                s.errors,
-                100.0 * s.hit_rate(),
-                100.0 * s.error_budget_remaining(),
-                s.mean_micros,
-                s.p50_micros,
-                s.p95_micros,
-                s.p99_micros,
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -294,17 +250,6 @@ mod tests {
             s.p99_micros
         );
         assert_eq!(s.cache_hits + s.cache_misses, 0, "bypass counts nothing");
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let m = MetricsRegistry::new();
-        m.endpoint(Endpoint::ConceptBox).record(10, Some(true));
-        m.reset();
-        let s = m.endpoint(Endpoint::ConceptBox).summary();
-        assert_eq!(s.requests, 0);
-        assert_eq!(s.p99_micros, 0);
-        assert!(m.report().contains("concept_box"));
     }
 
     #[test]

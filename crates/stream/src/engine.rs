@@ -143,25 +143,12 @@ impl StreamEngine {
     /// every memo cache) and start the stream at [`Watermark::ZERO`].
     pub fn new(corpus: WebCorpus, config: StreamConfig) -> Self {
         let incr = IncrEngine::new(&corpus, config.pipeline.clone());
-        let fps = corpus
-            .pages()
-            .iter()
-            .map(|p| (p.url.clone(), p.fingerprint()))
-            .collect();
-        Self {
-            config,
-            incr,
-            corpus,
-            fps,
-            watermark: Watermark::ZERO,
-            journal: Vec::new(),
-            pending: BTreeMap::new(),
-        }
+        Self::from_parts(incr, corpus, config)
     }
 
     /// Adopt an already-built incremental engine instead of rebuilding:
     /// `corpus` must be exactly the crawl `incr`'s current web was last
-    /// maintained against (the benches use this to switch a warm batch
+    /// maintained against (the benchmark uses this to switch a warm batch
     /// engine into streaming mode without paying a second full build).
     pub fn from_parts(incr: IncrEngine, corpus: WebCorpus, config: StreamConfig) -> Self {
         let fps = corpus

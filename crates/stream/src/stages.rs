@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use woc_extract::lists::ConceptProfile;
 use woc_extract::ExtractedRecord;
-use woc_webgen::Page;
+use woc_webgen::{Fnv1a, Page};
 
 use crate::channel::{Receiver, Sender};
 
@@ -81,12 +81,10 @@ pub(crate) struct FingerprintStats {
 /// pseudo-fingerprint so they participate in the content-defined cut
 /// decision exactly like updates do.
 pub(crate) fn removal_fingerprint(url: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in "removed:".bytes().chain(url.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.str("removed:");
+    h.str(url);
+    h.finish()
 }
 
 /// The sequential change-detection stage: dedup against the live
@@ -170,5 +168,20 @@ pub(crate) fn extract_worker(
         if tx.send(Seq { seq, msg: ready }).is_err() {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Cut points depend on this value; recorded from the written-out
+    /// FNV-1a loop this function used to carry.
+    #[test]
+    fn removal_fingerprint_is_pinned() {
+        assert_eq!(
+            removal_fingerprint("http://a.example/1"),
+            0x312e_ef17_95e7_de68
+        );
     }
 }

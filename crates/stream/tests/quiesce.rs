@@ -200,3 +200,49 @@ fn quiesce_equivalent_with_added_and_removed_pages() {
     );
     assert_quiesced_clean(&engine);
 }
+
+/// Streaming publishes keep the result cache warm: after ~1% churn flows
+/// through `StreamEngine::run` into a cache-enabled server, at least 80% of
+/// the warmed search entries still answer from the cache, and the server
+/// sits at the stream's last published epoch.
+#[test]
+fn streamed_low_churn_keeps_search_entries_warm() {
+    let mut world = World::generate(WorldConfig::tiny(500));
+    let corpus_cfg = CorpusConfig::tiny(50);
+    let corpus_v1 = generate_corpus(&world, &corpus_cfg);
+    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(2));
+    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+
+    let names: std::collections::BTreeSet<String> = {
+        let store = &engine.web().store;
+        store
+            .live_ids()
+            .into_iter()
+            .filter_map(|id| store.latest(id)?.best_string("name"))
+            .take(64)
+            .collect()
+    };
+    for name in &names {
+        assert!(
+            !server.search(name, 5).cached,
+            "{name:?} fills on first ask"
+        );
+    }
+
+    churn_until_events(&mut world, 0.01, Tick(10), 1);
+    let corpus_v2 = generate_corpus(&world, &corpus_cfg);
+    let report = engine.run(event_stream(&corpus_v1, &corpus_v2), &server);
+    assert_eq!(report.publish_failures, 0, "{:?}", report.failure_messages);
+    assert!(report.effective_epochs >= 1, "the churn must publish");
+    assert_eq!(server.epoch(), report.last_epoch);
+
+    let warm = names
+        .iter()
+        .filter(|name| server.search(name, 5).cached)
+        .count();
+    assert!(
+        warm * 5 >= names.len() * 4,
+        "{warm}/{} warmed search entries survived the streamed publishes",
+        names.len()
+    );
+}

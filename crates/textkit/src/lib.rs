@@ -12,6 +12,7 @@
 //! * [`recognize`] — *domain knowledge* field recognizers (phone, zip, price,
 //!   date, hours, email, URL) used by domain-centric list extraction
 //!   (paper §4.2 "Domain-Centric List Extraction"),
+//! * [`fnv`] — the one FNV-1a hasher behind every fingerprint and digest,
 //! * [`gazetteer`] — shared vocabulary pools (cities, cuisines, person names,
 //!   street names, …). The synthetic-web generator draws entity names from
 //!   these pools and extractors use the same pools as gazetteers, mirroring
@@ -23,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fnv;
 pub mod gazetteer;
 pub mod lm;
 pub mod metrics;
@@ -30,6 +32,7 @@ pub mod recognize;
 pub mod tfidf;
 pub mod tokenize;
 
+pub use fnv::Fnv1a;
 pub use metrics::{cosine_counts, dice, jaccard, jaro, jaro_winkler, lev_similarity, levenshtein};
 pub use recognize::{recognize_all, FieldKind, FieldSpan};
 pub use tfidf::{CorpusStats, SparseVector, TfIdf};

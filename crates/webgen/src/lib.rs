@@ -40,4 +40,7 @@ pub use sites::{
     generate_corpus, AdversarialConfig, AdversarialProfile, AdversarialSite, CorpusConfig,
     SiteStyle,
 };
+/// The workspace's FNV-1a, re-exported for crates that reach `woc-textkit`
+/// only through this one.
+pub use woc_textkit::Fnv1a;
 pub use world::{World, WorldConfig};

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use woc_lrec::{ConceptId, LrecId};
+use woc_textkit::Fnv1a;
 
 use crate::dom::Node;
 
@@ -183,67 +184,44 @@ impl Page {
     /// making the encoding injective: any single-byte difference anywhere
     /// in the hashed content feeds different bytes to the hash.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.mark(0x01);
-        h.str(&self.url);
-        h.mark(0x02);
-        h.str(&self.site);
-        h.mark(0x03);
-        h.str(&self.title);
+        let mut h = Fnv1a::new();
+        h.bytes(&[0x01]);
+        h.framed_str(&self.url);
+        h.bytes(&[0x02]);
+        h.framed_str(&self.site);
+        h.bytes(&[0x03]);
+        h.framed_str(&self.title);
         fingerprint_node(&self.dom, &mut h);
-        h.0
+        h.finish()
     }
 }
 
-/// FNV-1a, same constants as `woc_index`'s digests.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    /// Length-prefixed string: unambiguous regardless of content bytes.
-    fn str(&mut self, s: &str) {
-        self.bytes(&(s.len() as u64).to_le_bytes());
-        self.bytes(s.as_bytes());
-    }
-    /// Structural marker byte separating fields and node types.
-    fn mark(&mut self, m: u8) {
-        self.bytes(&[m]);
-    }
-}
-
-fn fingerprint_node(node: &Node, h: &mut Fnv) {
+/// Hash one DOM subtree; each marker byte separates a field or node type.
+fn fingerprint_node(node: &Node, h: &mut Fnv1a) {
     match node {
         Node::Element {
             tag,
             attrs,
             children,
         } => {
-            h.mark(0x04);
-            h.str(tag);
+            h.bytes(&[0x04]);
+            h.framed_str(tag);
             for (k, v) in attrs {
                 // BTreeMap: attrs arrive in sorted, deterministic order.
-                h.mark(0x05);
-                h.str(k);
-                h.mark(0x06);
-                h.str(v);
+                h.bytes(&[0x05]);
+                h.framed_str(k);
+                h.bytes(&[0x06]);
+                h.framed_str(v);
             }
-            h.mark(0x07);
+            h.bytes(&[0x07]);
             for c in children {
                 fingerprint_node(c, h);
             }
-            h.mark(0x08);
+            h.bytes(&[0x08]);
         }
         Node::Text(t) => {
-            h.mark(0x09);
-            h.str(t);
+            h.bytes(&[0x09]);
+            h.framed_str(t);
         }
     }
 }

@@ -32,6 +32,7 @@
 use rand::rngs::StdRng;
 
 use woc_textkit::gazetteer::CUISINES;
+use woc_textkit::Fnv1a;
 
 use crate::dom::Node;
 use crate::page::{Page, PageKind, PageTruth, TruthRecord};
@@ -146,15 +147,13 @@ pub fn plan_sites(
 }
 
 /// Mix a per-site salt and a per-attribute base into a perturbation key
-/// (FNV-style), so distinct `(salt, base)` pairs yield unrelated digit
+/// (FNV-1a), so distinct `(salt, base)` pairs yield unrelated digit
 /// transforms instead of colliding modulo the rotation alphabet.
 fn mix(salt: u64, base: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in salt.to_le_bytes().iter().chain(&base.to_le_bytes()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.u64(salt);
+    h.u64(base);
+    h.finish()
 }
 
 /// Rotate every ASCII digit by a position-dependent amount in `1..=9`
