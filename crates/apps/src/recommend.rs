@@ -16,7 +16,6 @@ use std::collections::HashMap;
 
 use woc_core::WebOfConcepts;
 use woc_lrec::{Lrec, LrecId};
-use woc_textkit::metrics::name_similarity;
 
 /// A scored recommendation.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,14 +201,6 @@ impl CoEngagement {
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
-}
-
-/// Similarity of two records' names — exposed for dedup in result pages.
-pub fn record_name_similarity(woc: &WebOfConcepts, a: LrecId, b: LrecId) -> f64 {
-    let (Some(ra), Some(rb)) = (woc.store.latest(a), woc.store.latest(b)) else {
-        return 0.0;
-    };
-    name_similarity(&attr(ra, "name"), &attr(rb, "name"))
 }
 
 #[cfg(test)]

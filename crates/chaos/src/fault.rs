@@ -204,15 +204,6 @@ impl FaultProfile {
             Self::everything(0.15),
         ]
     }
-
-    /// True when no fault class can fire.
-    pub fn is_quiet(&self) -> bool {
-        self.timeout_rate == 0.0
-            && self.error_rate == 0.0
-            && self.truncate_rate == 0.0
-            && self.corrupt_rate == 0.0
-            && (self.flap_period == 0 || self.flap_duty == 0.0)
-    }
 }
 
 /// Number of U+FFFD replacement characters at which the crawler's
@@ -392,7 +383,6 @@ mod tests {
     fn quiet_profile_always_delivers_clean() {
         let page = sample_page();
         let inj = FaultInjector::new(FaultProfile::none(), 42);
-        assert!(FaultProfile::none().is_quiet());
         for attempt in 0..8 {
             let (latency, r) = inj.fetch(&page, attempt, attempt as u64);
             assert_eq!(latency, 0);

@@ -101,14 +101,6 @@ impl ShardFaultProfile {
             ..Self::default()
         }
     }
-
-    /// True when the profile injects nothing.
-    pub fn is_quiet(&self) -> bool {
-        self.dead_shards.is_empty()
-            && self.dead_replicas.is_empty()
-            && self.flap_rate == 0.0
-            && self.slow_rate == 0.0
-    }
 }
 
 /// Rolls shard-fault decisions from a seed. Every answer is a pure
@@ -176,15 +168,6 @@ impl ShardFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiles_declare_their_shape() {
-        assert!(ShardFaultProfile::healthy().is_quiet());
-        assert!(!ShardFaultProfile::replica_down(0, 1).is_quiet());
-        assert!(!ShardFaultProfile::shard_blackout(2).is_quiet());
-        assert!(!ShardFaultProfile::flappy(0.3).is_quiet());
-        assert!(!ShardFaultProfile::slow(0.5, 10_000).is_quiet());
-    }
 
     #[test]
     fn dead_slots_are_down_at_any_time() {

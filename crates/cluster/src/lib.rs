@@ -12,9 +12,13 @@
 //!
 //! The load-bearing invariant, enforced by the partition/failover chaos
 //! suite: **quorum serving is byte-identical to single-node answers**.
-//! Shard indexes score through corpus-global [`woc_index::ScoringStats`],
-//! so every hit carries the bitwise-identical score the full index would
-//! give it, and the router's merge reproduces the full index's ordering.
+//! A shard's record side is a frozen [`woc_index::LrecSegment`] over the
+//! records it owns, scored through the epoch's pinned
+//! [`woc_index::ScoringStats`] — what a delta segment of the single node's
+//! index already is — so every hit carries the bitwise-identical score,
+//! and the router finishes in the same [`woc_index::gather`] the
+//! single-node search does: one evaluator, scattered over slots there and
+//! over shards here.
 //! When faults (via [`woc_chaos::ShardFaultInjector`]) take out every
 //! usable replica of a shard, the router degrades with explicit
 //! [`Coverage::Partial`] metadata — never a silently partial epoch. The
@@ -28,6 +32,7 @@ pub mod node;
 pub mod partition;
 pub mod router;
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,8 +43,8 @@ use woc_audit::{
     audit, check_segments, check_shard_coverage, Audit, AuditConfig, ShardCoverageView,
 };
 use woc_chaos::{ShardFaultInjector, ShardFaultProfile};
-use woc_core::WebOfConcepts;
-use woc_index::{FieldQuery, RecordHit, SegmentedLrecIndex};
+use woc_core::{record_entries, WebOfConcepts};
+use woc_index::{gather, FieldQuery, RecordHit, SegmentedLrecIndex};
 use woc_lrec::LrecId;
 use woc_serve::{ConceptServer, SegmentDelta, ServeConfig, Snapshot};
 use woc_textkit::tokenize::tokenize_words;
@@ -136,6 +141,16 @@ struct ClusterState {
     partition: Arc<PartitionMap>,
     records: Vec<Arc<ShardRecords>>,
     docs: Vec<Arc<ShardDocs>>,
+}
+
+/// What one scatter over every shard came back with.
+struct Scatter {
+    /// The replica state that served each answering shard, in shard order.
+    served: Vec<Arc<ReplicaState>>,
+    coverage: Coverage,
+    /// Max over shards.
+    latency: u64,
+    hedged_shards: usize,
 }
 
 /// The sharded serving tier: a [`ConceptServer`] epoch authority, `N`
@@ -338,32 +353,23 @@ impl ClusterServer {
         self.search_parsed(&fq, k)
     }
 
-    /// Scatter a parsed query to every shard, gather, and merge into the
-    /// single-node answer order. See the crate docs for the byte-identity
-    /// argument; the gather stage applies the concept filter, the
-    /// scoped-requirement filter, and the final truncation in exactly the
-    /// order the single-node path does.
-    pub fn search_parsed(&self, fq: &FieldQuery, k: usize) -> ClusterAnswer {
+    /// Route one request to every shard ([`router::serve_shard`] per node,
+    /// `work(shard)` postings charged to each) and advance the virtual
+    /// clock by the slowest shard — the scatter is parallel.
+    fn scatter(&self, st: &ClusterState, work: impl Fn(usize) -> u64) -> Scatter {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let now = self.now_micros();
-        let st = self.routing_state();
         let inj = self.fault_injector();
-        let expected = st.snap.epoch;
-        // The single-node path over-fetches under a concept filter; mirror
-        // its budget exactly so truncation cuts at the same rank.
-        let fetch = if fq.concept.is_some() { k * 8 + 32 } else { k };
-
-        let mut served: Vec<Option<Arc<ReplicaState>>> = Vec::with_capacity(self.config.shards);
+        let mut served = Vec::with_capacity(self.nodes.len());
         let mut missing: Vec<usize> = Vec::new();
         let mut latency = 0u64;
         let mut hedged_shards = 0usize;
         for (s, node) in self.nodes.iter().enumerate() {
-            let work = st.records.get(s).map_or(0, |r| r.postings_cost(fq)) * POSTING_MICROS;
             let outcome = router::serve_shard(
                 node,
                 s,
-                expected,
-                work,
+                st.snap.epoch,
+                work(s) * POSTING_MICROS,
                 &self.config,
                 &inj,
                 now,
@@ -372,65 +378,65 @@ impl ClusterServer {
             );
             latency = latency.max(outcome.latency_micros);
             hedged_shards += outcome.hedged as usize;
-            if outcome.state.is_none() {
-                missing.push(s);
+            match outcome.state {
+                Some(rs) => served.push(rs),
+                None => missing.push(s),
             }
-            served.push(outcome.state);
         }
         self.clock.fetch_add(latency, Ordering::Relaxed);
-
-        let mut raw: Vec<RecordHit> = Vec::new();
-        for rs in served.iter().flatten() {
-            raw.extend(rs.records.raw_search(fq, fetch));
-        }
-        raw.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        raw.truncate(fetch);
-        let concept_filter = fq
-            .concept
-            .as_deref()
-            .and_then(|n| st.snap.woc.registry.id_of(n));
-        if let Some(c) = concept_filter {
-            raw.retain(|h| h.concept == c);
-        }
-        if !fq.scoped.is_empty() {
-            let mut ok: std::collections::BTreeSet<LrecId> = Default::default();
-            for rs in served.iter().flatten() {
-                let mut members: Option<std::collections::BTreeSet<LrecId>> = None;
-                for (f, t) in &fq.scoped {
-                    let set: std::collections::BTreeSet<LrecId> =
-                        rs.records.scoped_members(f, t).into_iter().collect();
-                    members = Some(match members {
-                        None => set,
-                        Some(m) => m.intersection(&set).copied().collect(),
-                    });
-                }
-                ok.extend(members.unwrap_or_default());
-            }
-            raw.retain(|h| ok.contains(&h.id));
-        }
-        raw.truncate(k);
-        let results = raw
-            .iter()
-            .filter_map(|h| hydrate_record_hit(&st.snap.woc, h))
-            .collect();
-
         let coverage = if missing.is_empty() {
             Coverage::Complete
         } else {
             self.stats.partial_answers.fetch_add(1, Ordering::Relaxed);
             Coverage::Partial { missing }
         };
-        ClusterAnswer {
-            results,
-            epoch: expected,
+        Scatter {
+            served,
             coverage,
-            virtual_micros: latency,
+            latency,
             hedged_shards,
+        }
+    }
+
+    /// Scatter a parsed query over the served shards' segments and
+    /// [`gather`] — the same two halves, in the same order, as the
+    /// single-node [`SegmentedLrecIndex::search`]; see the crate docs for
+    /// the byte-identity argument.
+    pub fn search_parsed(&self, fq: &FieldQuery, k: usize) -> ClusterAnswer {
+        let st = self.routing_state();
+        let terms = fq.index_terms();
+        let sc = self.scatter(&st, |s| {
+            st.records.get(s).map_or(0, |r| r.postings_cost(&terms))
+        });
+        let concept = fq
+            .concept
+            .as_deref()
+            .and_then(|n| st.snap.woc.registry.id_of(n));
+        let fetch = FieldQuery::fetch_budget(k, concept.is_some());
+        let nothing_dead = HashSet::new();
+        let mut hits: Vec<RecordHit> = Vec::new();
+        for rs in &sc.served {
+            let side = &rs.records;
+            hits.extend(
+                side.segment
+                    .search(&terms, fetch, &side.stats, &nothing_dead),
+            );
+        }
+        // Shards own disjoint records, so only the owner can say yes.
+        let hits = gather(hits, fq, k, concept, |id, term| {
+            sc.served
+                .iter()
+                .any(|rs| rs.records.segment.has_term(id, term))
+        });
+        ClusterAnswer {
+            results: hits
+                .iter()
+                .filter_map(|h| hydrate_record_hit(&st.snap.woc, h))
+                .collect(),
+            epoch: st.snap.epoch,
+            coverage: sc.coverage,
+            virtual_micros: sc.latency,
+            hedged_shards: sc.hedged_shards,
         }
     }
 
@@ -491,35 +497,15 @@ impl ClusterServer {
     /// Scatter a plain document search to every shard's doc index and
     /// merge by the full index's `(score desc, doc asc)` order.
     pub fn doc_search(&self, query: &str, k: usize) -> DocAnswer {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let now = self.now_micros();
         let st = self.routing_state();
-        let inj = self.fault_injector();
         let terms = tokenize_words(query);
-
+        let sc = self.scatter(&st, |s| {
+            st.docs.get(s).map_or(0, |d| d.postings_cost(&terms))
+        });
         let mut hits: Vec<(u32, f64)> = Vec::new();
-        let mut missing: Vec<usize> = Vec::new();
-        let mut latency = 0u64;
-        for (s, node) in self.nodes.iter().enumerate() {
-            let work = st.docs.get(s).map_or(0, |d| d.postings_cost(&terms)) * POSTING_MICROS;
-            let outcome = router::serve_shard(
-                node,
-                s,
-                st.snap.epoch,
-                work,
-                &self.config,
-                &inj,
-                now,
-                seq,
-                &self.stats,
-            );
-            latency = latency.max(outcome.latency_micros);
-            match outcome.state {
-                Some(rs) => hits.extend(rs.docs.raw_search(&terms, k)),
-                None => missing.push(s),
-            }
+        for rs in &sc.served {
+            hits.extend(rs.docs.raw_search(&terms, k));
         }
-        self.clock.fetch_add(latency, Ordering::Relaxed);
         router::merge_by_score(&mut hits);
         hits.truncate(k);
         let results = hits
@@ -532,17 +518,11 @@ impl ClusterServer {
                     .map(|url| (url.clone(), score))
             })
             .collect();
-        let coverage = if missing.is_empty() {
-            Coverage::Complete
-        } else {
-            self.stats.partial_answers.fetch_add(1, Ordering::Relaxed);
-            Coverage::Partial { missing }
-        };
         DocAnswer {
             results,
             epoch: st.snap.epoch,
-            coverage,
-            virtual_micros: latency,
+            coverage: sc.coverage,
+            virtual_micros: sc.latency,
         }
     }
 
@@ -570,9 +550,10 @@ impl ClusterServer {
         }
     }
 
-    /// Run the full audit (W001–W012) over the served web plus the W013
-    /// shard-coverage check over this cluster's view of it and the W014
-    /// segment-metadata check over the epoch's segmented record index.
+    /// Run the audit (codes W001–W016) over the served web: [`audit`]'s own
+    /// checks plus the W013 shard-coverage check over this cluster's view
+    /// of it and the W014 segment-metadata check over the epoch's segmented
+    /// record index.
     pub fn audit(&self, cfg: &AuditConfig) -> Audit {
         let st = self.routing_state();
         let woc = &st.snap.woc;
@@ -623,17 +604,20 @@ fn build_state(
     // the record-side digest of every unchanged shard intact — only
     // shards owning changed records rebuild.
     let pinned = snap.segments.pinned_stats();
-    for s in 0..config.shards {
-        let rd = node::record_entries_digest(&snap.woc, &partition, s, pinned);
+    let mut owned: Vec<Vec<_>> = vec![Vec::new(); config.shards];
+    for entry in record_entries(&snap.woc.store) {
+        if let Some(side) = partition
+            .shard_of_record(entry.0)
+            .and_then(|s| owned.get_mut(s))
+        {
+            side.push(entry);
+        }
+    }
+    for (s, entries) in owned.into_iter().enumerate() {
+        let rd = node::record_entries_digest(&entries, pinned);
         records.push(match prev {
             Some(p) if p.records[s].entries_digest == rd => Arc::clone(&p.records[s]),
-            _ => Arc::new(node::build_shard_records(
-                &snap.woc,
-                &partition,
-                s,
-                rd,
-                pinned.clone(),
-            )),
+            _ => Arc::new(node::build_shard_records(s, entries, rd, pinned.clone())),
         });
         let dd = node::doc_entries_digest(&snap.woc, corpus, &partition, s);
         docs.push(match prev {

@@ -6,9 +6,13 @@
 //! scores through a [`ScoringStats`] snapshot taken from the full-web
 //! indexes — BM25 idf and average length are corpus-global, so a shard hit
 //! carries the bitwise-identical score the single-node index would give
-//! the same record. That is the whole byte-identity argument: per-record
-//! scores equal, and the router's merge reproduces the full index's
-//! `(score desc, id asc)` order.
+//! the same record. The record side *is* a segment: a frozen
+//! [`LrecSegment`] over the owned records, scored through the epoch's
+//! pinned statistics with its own block-max metadata and nothing dead —
+//! exactly what a delta segment of the single node's
+//! [`woc_index::SegmentedLrecIndex`] is — so the router scatters over
+//! shards the way that index scatters over slots and both finish in the
+//! one [`woc_index::gather`].
 //!
 //! A [`ShardNode`] holds `R` replica slots. Each slot epoch-swaps an
 //! `Arc<ReplicaState>` exactly the way `woc-serve` swaps snapshots: a
@@ -22,8 +26,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use woc_core::{doc_tokens, WebOfConcepts};
-use woc_index::{scoped_term, FieldQuery, InvertedIndex, LrecIndex, RecordHit, ScoringStats};
-use woc_lrec::LrecId;
+use woc_index::{InvertedIndex, LrecSegment, ScoringStats};
+use woc_lrec::{ConceptId, LrecId};
 use woc_serve::Snapshot;
 use woc_textkit::Fnv1a;
 use woc_webgen::WebCorpus;
@@ -37,23 +41,21 @@ fn mix64(h: u64, v: u64) -> u64 {
     h.finish()
 }
 
-/// The record side of one shard: a [`LrecIndex`] over owned records plus
-/// the global stats it scores through.
+/// The record side of one shard: a frozen [`LrecSegment`] over the owned
+/// records plus the global stats it scores through.
 #[derive(Debug)]
 pub struct ShardRecords {
     /// The shard this side belongs to.
     pub shard: usize,
-    /// Owned record ids, ascending.
-    pub ids: Vec<LrecId>,
-    /// Shard-local fielded index over the owned records.
-    pub index: LrecIndex,
+    /// The owned records, frozen in ascending id order.
+    pub segment: LrecSegment,
     /// Corpus-global scoring statistics — the *pinned* statistics of the
     /// epoch's segmented index, so shard scores are bitwise-identical to
     /// the single-node segmented search path even between merge points
     /// (at a merge point the pinned statistics equal the flat index's own).
     pub stats: ScoringStats,
-    /// Shard-local statistics (document frequencies of owned records) —
-    /// the router's deterministic cost model reads these.
+    /// The segment's own statistics (document frequencies of owned
+    /// records) — the router's deterministic cost model reads these.
     pub local_stats: ScoringStats,
     /// Digest of the inputs this side was built from (owned entries +
     /// global stats); equal digests ⇒ a rebuild would be byte-identical,
@@ -64,54 +66,13 @@ pub struct ShardRecords {
 }
 
 impl ShardRecords {
-    /// Raw scatter-stage search: score the query's free and scoped terms
-    /// against the owned records through the global stats, with **no**
-    /// concept filter, scoped-requirement filter, or final truncation —
-    /// those are router (gather-stage) concerns, applied after the global
-    /// merge exactly where the single-node path applies them.
-    pub fn raw_search(&self, fq: &FieldQuery, fetch: usize) -> Vec<RecordHit> {
-        let mut q = FieldQuery {
-            terms: fq.terms.clone(),
-            scoped: Vec::new(),
-            concept: None,
-        };
-        for (f, t) in &fq.scoped {
-            q.terms.push(scoped_term(f, t));
-        }
-        self.index
-            .search_with_stats(&q, fetch, |_| None, &self.stats)
-    }
-
-    /// Owned records containing the rendered scoped term `field:term` —
-    /// the shard-local half of the single-node path's scoped-requirement
-    /// check (membership is a per-record predicate, so checking it on the
-    /// owning shard equals checking it on the full index).
-    pub fn scoped_members(&self, field: &str, term: &str) -> Vec<LrecId> {
-        let q = FieldQuery {
-            terms: vec![scoped_term(field, term)],
-            scoped: Vec::new(),
-            concept: None,
-        };
-        self.index
-            .search_with_stats(&q, usize::MAX, |_| None, &self.stats)
-            .into_iter()
-            .map(|h| h.id)
-            .collect()
-    }
-
     /// Deterministic virtual service cost of a query on this shard, in
     /// postings walked: the sum of shard-local document frequencies over
-    /// the query's terms. Scoring walks each term's posting list once, so
-    /// this is the honest work proxy the latency model charges.
-    pub fn postings_cost(&self, fq: &FieldQuery) -> u64 {
-        let mut cost = 0u64;
-        for t in &fq.terms {
-            cost += self.local_stats.df(t) as u64;
-        }
-        for (f, t) in &fq.scoped {
-            cost += self.local_stats.df(&scoped_term(f, t)) as u64;
-        }
-        cost
+    /// the query's rendered index terms. Scoring walks each term's posting
+    /// list once, so this is the honest work proxy the latency model
+    /// charges.
+    pub fn postings_cost(&self, terms: &[String]) -> u64 {
+        terms.iter().map(|t| self.local_stats.df(t) as u64).sum()
     }
 }
 
@@ -154,27 +115,22 @@ impl ShardDocs {
     }
 }
 
-/// Digest of everything the record side of `shard` would be built from:
+/// Digest of everything the record side of a shard would be built from:
 /// the owned `(id, concept, tokens)` entries in ascending id order, plus
 /// the pinned global scoring stats. Two equal digests guarantee
 /// byte-identical rebuilds, so the publisher can re-ship the old `Arc`
 /// instead. Because the pinned statistics are stable across delta epochs,
 /// a delta publish rebuilds only the shards that own changed records.
 pub fn record_entries_digest(
-    woc: &WebOfConcepts,
-    pm: &PartitionMap,
-    shard: usize,
+    entries: &[(LrecId, ConceptId, Vec<String>)],
     stats: &ScoringStats,
 ) -> u64 {
     let mut h = Fnv1a::new();
-    for id in pm.records_of_shard(shard) {
-        let Some(rec) = woc.store.latest(id) else {
-            continue;
-        };
+    for (id, concept, tokens) in entries {
         h.u64(id.0);
-        h.u64(rec.concept().0 as u64);
-        for t in LrecIndex::record_tokens(rec) {
-            h.u64(Fnv1a::of(&t));
+        h.u64(concept.0 as u64);
+        for t in tokens {
+            h.u64(Fnv1a::of(t));
         }
     }
     h.u64(stats.digest());
@@ -204,30 +160,21 @@ pub fn doc_entries_digest(
     h.finish()
 }
 
-/// Build the record side of `shard` from the web and its partition map.
-/// Records are indexed in ascending id order — the same order the
-/// pipeline feeds the full index (sorted `live_ids()`), so shard-internal
-/// doc ids are ascending in record id and merge ties resolve identically.
+/// Freeze the record side of `shard` from its owned entries (ascending id
+/// order — the order the pipeline feeds the full index, so merge ties
+/// resolve identically).
 pub fn build_shard_records(
-    woc: &WebOfConcepts,
-    pm: &PartitionMap,
     shard: usize,
+    entries: Vec<(LrecId, ConceptId, Vec<String>)>,
     entries_digest: u64,
     stats: ScoringStats,
 ) -> ShardRecords {
-    let ids = pm.records_of_shard(shard);
-    let mut index = LrecIndex::new();
-    for &id in &ids {
-        if let Some(rec) = woc.store.latest(id) {
-            index.add_record_tokens(id, rec.concept(), &LrecIndex::record_tokens(rec));
-        }
-    }
-    let local_stats = index.scoring_stats();
-    let content_digest = mix64(index.digest(), stats.digest());
+    let segment = LrecSegment::build(entries);
+    let local_stats = segment.scoring_stats();
+    let content_digest = mix64(segment.digest(), stats.digest());
     ShardRecords {
         shard,
-        ids,
-        index,
+        segment,
         stats,
         local_stats,
         entries_digest,

@@ -11,15 +11,16 @@
 
 use std::sync::{Arc, OnceLock};
 
-use woc_apps::{concept_search_parsed, interpret_query, ConceptResult};
+use woc_apps::{concept_search_parsed, hydrate_record_hit, interpret_query, ConceptResult};
 use woc_audit::AuditConfig;
 use woc_chaos::ShardFaultProfile;
 use woc_cluster::{ClusterConfig, ClusterServer, Coverage};
 use woc_core::{build, PipelineConfig, WebOfConcepts};
 use woc_incr::{segment_delta, IncrEngine, MaintainReport};
-use woc_index::MergePolicy;
+use woc_index::{FieldQuery, MergePolicy};
 use woc_lrec::{LrecId, Tick};
 use woc_serve::SegmentDelta;
+use woc_textkit::tokenize::tokenize_words;
 use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, WebCorpus, World, WorldConfig};
 
 /// Seeds every profile is exercised at. `WOC_CLUSTER_SEED` adds one more.
@@ -47,7 +48,10 @@ fn fixture() -> &'static (WebCorpus, WebOfConcepts) {
 }
 
 /// The search workload: free-text, cuisine-scoped, and concept-filtered
-/// queries at several depths, exercising every gather-stage filter.
+/// queries at several depths, exercising every gather-stage filter —
+/// including a scoped requirement under a resolved concept, one under an
+/// unresolvable concept (no filter, so no over-fetch), and a `k` deeper
+/// than the match count.
 fn search_pool() -> Vec<(&'static str, usize)> {
     vec![
         ("pizza", 5),
@@ -57,6 +61,9 @@ fn search_pool() -> Vec<(&'static str, usize)> {
         ("romantic italian", 5),
         ("is:restaurant", 10),
         ("burger", 1),
+        ("is:restaurant cuisine:thai", 5),
+        ("is:nosuchconcept noodles cuisine:japanese", 5),
+        ("sushi", 500),
     ]
 }
 
@@ -222,6 +229,53 @@ fn healthy_cluster_is_byte_identical_at_every_width() {
         pool_micros.windows(2).all(|w| w[1] <= w[0]) && pool_micros[2] < pool_micros[0],
         "search-pool virtual micros at N=1,2,4 must fall with width: {pool_micros:?}"
     );
+}
+
+/// `k` is caller-supplied (`Query::Search(_, k)`): at `k = usize::MAX` the
+/// over-fetch budget under `is:` must saturate, not overflow — the flat
+/// reference, the single node's segmented index and a 4-shard cluster all
+/// return every restaurant, identically.
+#[test]
+fn unbounded_k_under_a_concept_filter_returns_every_match() {
+    // More restaurants than a wrapped budget (`usize::MAX * 8 + 32` = 24)
+    // would keep, so a release build fails here too.
+    let world = World::generate(WorldConfig {
+        restaurants: 40,
+        ..WorldConfig::tiny(704)
+    });
+    let corpus = &generate_corpus(&world, &CorpusConfig::tiny(74));
+    let woc = &build(corpus, &PipelineConfig::default());
+    let restaurant = woc.registry.id_of("restaurant").expect("standard concept");
+    let restaurants = woc.records_of(restaurant);
+    // Every restaurant has a city, so the union of city words matches all.
+    let mut terms: Vec<String> = restaurants
+        .iter()
+        .filter_map(|r| r.best_string("city"))
+        .flat_map(|city| tokenize_words(&city))
+        .collect();
+    terms.sort_unstable();
+    terms.dedup();
+    let fq = FieldQuery {
+        terms,
+        scoped: Vec::new(),
+        concept: Some("restaurant".into()),
+    };
+    let flat = concept_search_parsed(woc, &fq, usize::MAX);
+    assert_eq!(flat.len(), restaurants.len(), "flat reference drops hits");
+    assert!(flat.len() > 24, "fixture too small to see a wrapped budget");
+
+    let cluster = cluster_over(woc, corpus, ClusterConfig::default());
+    let ans = cluster.search_parsed(&fq, usize::MAX);
+    assert!(ans.coverage.is_complete());
+    assert_identical(&ans.results, &flat, "cluster, k = usize::MAX");
+    let snap = cluster.full().snapshot();
+    let segmented: Vec<ConceptResult> = snap
+        .segments
+        .search(&fq, usize::MAX, |n| woc.registry.id_of(n))
+        .iter()
+        .filter_map(|h| hydrate_record_hit(woc, h))
+        .collect();
+    assert_identical(&segmented, &flat, "segmented, k = usize::MAX");
 }
 
 /// Kill any single replica of any shard: the quorum keeps every answer

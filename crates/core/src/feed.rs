@@ -14,7 +14,7 @@ use woc_lrec::{Lrec, LrecId, Provenance, SourceRef, Tick};
 use woc_matching::FellegiSunter;
 
 use crate::graph::AssocKind;
-use crate::pipeline::{scorer_for, type_value, WebOfConcepts};
+use crate::pipeline::{flat_record_index, scorer_for, type_value, WebOfConcepts};
 
 /// One record in a feed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -151,15 +151,7 @@ pub fn ingest_feed(woc: &mut WebOfConcepts, feed: &Feed, tick: Tick) -> FeedRepo
     }
 
     // Feed data changes the corpus: rebuild the record index.
-    let mut index = woc_index::LrecIndex::new();
-    for id in woc.store.live_ids() {
-        index.add(
-            woc.store
-                .latest(id)
-                .expect("invariant: live_ids() yields ids with a latest version"),
-        );
-    }
-    woc.record_index = index;
+    woc.record_index = flat_record_index(&woc.store);
     report
 }
 

@@ -48,8 +48,8 @@ pub use maintain::{recrawl, MaintenanceReport};
 pub use memo::{doc_tokens, BuildCaches, CacheStats, RecordIndexChange};
 pub use parallel::{resolve_threads, shard_map};
 pub use pipeline::{
-    build, build_with_caches, detail_extract, extract_page, extract_page_with, PipelineConfig,
-    WebOfConcepts,
+    build, build_with_caches, detail_extract, extract_page, extract_page_with, record_entries,
+    PipelineConfig, WebOfConcepts,
 };
 pub use quality::{assess, ConceptQuality, QualityReport};
 pub use report::{PipelineReport, SiteCoverage, StageStat};

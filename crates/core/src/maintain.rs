@@ -19,7 +19,9 @@ use woc_lrec::{AttrValue, Provenance, Tick};
 use woc_webgen::WebCorpus;
 
 use crate::graph::AssocKind;
-use crate::pipeline::{document_plane, extract_page, index_texts, type_value, WebOfConcepts};
+use crate::pipeline::{
+    document_plane, extract_page, flat_record_index, index_texts, type_value, WebOfConcepts,
+};
 
 /// What a maintenance pass did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -217,15 +219,7 @@ pub fn recrawl(
 
     // Rebuild the record index (segment-rebuild model) and the document
     // plane: removed and rewritten pages must stop serving their old text.
-    let mut index = woc_index::LrecIndex::new();
-    for id in woc.store.live_ids() {
-        index.add(
-            woc.store
-                .latest(id)
-                .expect("invariant: live_ids() yields ids with a latest version"),
-        );
-    }
-    woc.record_index = index;
+    woc.record_index = flat_record_index(&woc.store);
     (woc.doc_index, woc.doc_urls, woc.doc_titles) =
         document_plane(new.pages(), &woc.lineage, index_texts);
 

@@ -65,9 +65,8 @@ pub(crate) fn digest_strs(items: &[&str]) -> u64 {
 }
 
 /// The tokens [`crate::pipeline::build`] indexes for a page: title plus
-/// visible text (must match the fresh-build `add_text` call exactly).
-/// Public so shard-local document indexes (`woc-cluster`) can index the
-/// exact token sequence the single-node pipeline would.
+/// visible text. The fresh build, the patch-in-place cache and the
+/// shard-local document indexes (`woc-cluster`) all tokenize through here.
 pub fn doc_tokens(page: &Page) -> Vec<String> {
     tokenize_words(&format!("{} {}", page.title, page.text()))
 }
@@ -174,6 +173,70 @@ struct Entry<T> {
     value: T,
 }
 
+/// One generation-tagged pure-function memo table.
+#[derive(Debug)]
+struct Memo<K, V> {
+    table: HashMap<K, Entry<V>>,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Self {
+            table: HashMap::new(),
+        }
+    }
+}
+
+impl<K: std::hash::Hash + Eq + Clone, V: Clone + Send> Memo<K, V> {
+    /// Resolve `keys` in order. Hits are re-tagged with `generation` and
+    /// returned as stored; every miss *position* — repeated keys are not
+    /// de-duplicated — is computed by `compute(position)`, sharded, then
+    /// inserted. Returns the values and the miss count.
+    fn get_or_compute(
+        &mut self,
+        generation: u64,
+        keys: &[K],
+        threads: usize,
+        compute: impl Fn(usize) -> V + Sync,
+    ) -> (Vec<V>, usize) {
+        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
+        let mut miss_idx: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            match self.table.get_mut(key) {
+                Some(e) => {
+                    e.generation = generation;
+                    out.push(Some(e.value.clone()));
+                }
+                None => {
+                    miss_idx.push(i);
+                    out.push(None);
+                }
+            }
+        }
+        let computed = shard_map(&miss_idx, threads, |&i| compute(i));
+        for (&i, value) in miss_idx.iter().zip(computed) {
+            self.table.insert(
+                keys[i].clone(),
+                Entry {
+                    generation,
+                    value: value.clone(),
+                },
+            );
+            out[i] = Some(value);
+        }
+        let values = out
+            .into_iter()
+            .map(|v| v.expect("invariant: every key is either a hit or a filled miss"))
+            .collect();
+        (values, miss_idx.len())
+    }
+
+    /// Drop every entry the pass tagged `generation` did not touch.
+    fn evict(&mut self, generation: u64) {
+        self.table.retain(|_, e| e.generation == generation);
+    }
+}
+
 #[derive(Debug)]
 struct RecordIndexCache {
     index: LrecIndex,
@@ -196,13 +259,13 @@ struct DocIndexCache {
 pub struct BuildCaches {
     generation: u64,
     /// page fingerprint → extraction output (shared, not re-cloned, on hits).
-    extract: HashMap<u64, Entry<Arc<Vec<ExtractedRecord>>>>,
+    extract: Memo<u64, Arc<Vec<ExtractedRecord>>>,
     /// (concept, left content digest, right content digest) → match score.
-    scores: HashMap<(u32, u64, u64), Entry<f64>>,
+    scores: Memo<(u32, u64, u64), f64>,
     /// (page fingerprint, target-name-set digest) → matched names.
-    mentions: HashMap<(u64, u64), Entry<Arc<Vec<String>>>>,
+    mentions: Memo<(u64, u64), Arc<Vec<String>>>,
     /// page fingerprint → normalized "also bought" anchor names.
-    also: HashMap<u64, Entry<Arc<Vec<String>>>>,
+    also: Memo<u64, Arc<Vec<String>>>,
     record_index: Option<RecordIndexCache>,
     doc_index: Option<DocIndexCache>,
     stats: CacheStats,
@@ -230,11 +293,10 @@ impl BuildCaches {
     /// End a pass: evict every memo entry the pass did not touch, so
     /// content that vanished from the corpus does not accumulate forever.
     pub(crate) fn end_pass(&mut self) {
-        let generation = self.generation;
-        self.extract.retain(|_, e| e.generation == generation);
-        self.scores.retain(|_, e| e.generation == generation);
-        self.mentions.retain(|_, e| e.generation == generation);
-        self.also.retain(|_, e| e.generation == generation);
+        self.extract.evict(self.generation);
+        self.scores.evict(self.generation);
+        self.mentions.evict(self.generation);
+        self.also.evict(self.generation);
     }
 
     /// Pre-seed the extraction memo with an externally computed result for
@@ -247,7 +309,7 @@ impl BuildCaches {
     /// with the *current* generation; if the next pass never reads it, the
     /// end-of-pass eviction drops it like any other stale entry.
     pub fn seed_extract(&mut self, fp: u64, records: Arc<Vec<ExtractedRecord>>) {
-        self.extract.insert(
+        self.extract.table.insert(
             fp,
             Entry {
                 generation: self.generation,
@@ -265,39 +327,12 @@ impl BuildCaches {
         threads: usize,
         f: impl Fn(&Page) -> Vec<ExtractedRecord> + Sync,
     ) -> Vec<Arc<Vec<ExtractedRecord>>> {
-        let generation = self.generation;
-        let mut out: Vec<Option<Arc<Vec<ExtractedRecord>>>> = Vec::with_capacity(pages.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, &fp) in fps.iter().enumerate() {
-            match self.extract.get_mut(&fp) {
-                Some(e) => {
-                    e.generation = generation;
-                    self.stats.extract_hits += 1;
-                    out.push(Some(Arc::clone(&e.value)));
-                }
-                None => {
-                    miss_idx.push(i);
-                    out.push(None);
-                }
-            }
-        }
-        let miss_pages: Vec<&Page> = miss_idx.iter().map(|&i| pages[i]).collect();
-        let computed = shard_map(&miss_pages, threads, |p| f(p));
-        for (&i, recs) in miss_idx.iter().zip(computed) {
-            let recs = Arc::new(recs);
-            self.extract.insert(
-                fps[i],
-                Entry {
-                    generation,
-                    value: Arc::clone(&recs),
-                },
-            );
-            out[i] = Some(recs);
-            self.stats.pages_reextracted += 1;
-        }
-        out.into_iter()
-            .map(|v| v.expect("invariant: every page is either a hit or a filled miss"))
-            .collect()
+        let (out, misses) = self
+            .extract
+            .get_or_compute(self.generation, fps, threads, |i| Arc::new(f(pages[i])));
+        self.stats.pages_reextracted += misses;
+        self.stats.extract_hits += fps.len() - misses;
+        out
     }
 
     /// Memoized "also bought" anchor scan: the normalized anchor names in a
@@ -311,37 +346,9 @@ impl BuildCaches {
         threads: usize,
         scan: impl Fn(&Page) -> Vec<String> + Sync,
     ) -> Vec<Arc<Vec<String>>> {
-        let generation = self.generation;
-        let mut out: Vec<Option<Arc<Vec<String>>>> = Vec::with_capacity(pages.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, &fp) in fps.iter().enumerate() {
-            match self.also.get_mut(&fp) {
-                Some(e) => {
-                    e.generation = generation;
-                    out.push(Some(Arc::clone(&e.value)));
-                }
-                None => {
-                    miss_idx.push(i);
-                    out.push(None);
-                }
-            }
-        }
-        let miss_pages: Vec<&Page> = miss_idx.iter().map(|&i| pages[i]).collect();
-        let computed = shard_map(&miss_pages, threads, |p| scan(p));
-        for (&i, names) in miss_idx.iter().zip(computed) {
-            let names = Arc::new(names);
-            self.also.insert(
-                fps[i],
-                Entry {
-                    generation,
-                    value: Arc::clone(&names),
-                },
-            );
-            out[i] = Some(names);
-        }
-        out.into_iter()
-            .map(|v| v.expect("invariant: every page is either a hit or a filled miss"))
-            .collect()
+        self.also
+            .get_or_compute(self.generation, fps, threads, |i| Arc::new(scan(pages[i])))
+            .0
     }
 
     /// Memoized pair scoring for one concept. `digests[i]` is the id-free
@@ -354,39 +361,23 @@ impl BuildCaches {
         threads: usize,
         score: impl Fn(usize, usize) -> f64 + Sync,
     ) -> Vec<(usize, usize, f64)> {
-        let generation = self.generation;
-        let mut out: Vec<(usize, usize, f64)> = Vec::with_capacity(pairs.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (n, &(i, j)) in pairs.iter().enumerate() {
-            match self.scores.get_mut(&(concept, digests[i], digests[j])) {
-                Some(e) => {
-                    e.generation = generation;
-                    self.stats.score_hits += 1;
-                    out.push((i, j, e.value));
-                }
-                None => {
-                    miss_idx.push(n);
-                    out.push((i, j, 0.0)); // placeholder, overwritten below
-                }
-            }
-        }
-        let computed = shard_map(&miss_idx, threads, |&n| {
-            let (i, j) = pairs[n];
-            score(i, j)
-        });
-        for (&n, s) in miss_idx.iter().zip(computed) {
-            let (i, j) = pairs[n];
-            self.scores.insert(
-                (concept, digests[i], digests[j]),
-                Entry {
-                    generation,
-                    value: s,
-                },
-            );
-            out[n].2 = s;
-            self.stats.pairs_rescored += 1;
-        }
-        out
+        let keys: Vec<(u32, u64, u64)> = pairs
+            .iter()
+            .map(|&(i, j)| (concept, digests[i], digests[j]))
+            .collect();
+        let (scores, misses) = self
+            .scores
+            .get_or_compute(self.generation, &keys, threads, |n| {
+                let (i, j) = pairs[n];
+                score(i, j)
+            });
+        self.stats.pairs_rescored += misses;
+        self.stats.score_hits += pairs.len() - misses;
+        pairs
+            .iter()
+            .zip(scores)
+            .map(|(&(i, j), s)| (i, j, s))
+            .collect()
     }
 
     /// Memoized mention scan: for each page, the subset of `names` (the
@@ -401,39 +392,15 @@ impl BuildCaches {
         threads: usize,
         scan: impl Fn(&Page) -> Vec<String> + Sync,
     ) -> Vec<Arc<Vec<String>>> {
-        let generation = self.generation;
-        let mut out: Vec<Option<Arc<Vec<String>>>> = Vec::with_capacity(pages.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        for (i, &fp) in fps.iter().enumerate() {
-            match self.mentions.get_mut(&(fp, names_digest)) {
-                Some(e) => {
-                    e.generation = generation;
-                    self.stats.mention_hits += 1;
-                    out.push(Some(Arc::clone(&e.value)));
-                }
-                None => {
-                    miss_idx.push(i);
-                    out.push(None);
-                }
-            }
-        }
-        let miss_pages: Vec<&Page> = miss_idx.iter().map(|&i| pages[i]).collect();
-        let computed = shard_map(&miss_pages, threads, |p| scan(p));
-        for (&i, names) in miss_idx.iter().zip(computed) {
-            let names = Arc::new(names);
-            self.mentions.insert(
-                (fps[i], names_digest),
-                Entry {
-                    generation,
-                    value: Arc::clone(&names),
-                },
-            );
-            out[i] = Some(names);
-            self.stats.mention_pages_rescanned += 1;
-        }
-        out.into_iter()
-            .map(|v| v.expect("invariant: every page is either a hit or a filled miss"))
-            .collect()
+        let keys: Vec<(u64, u64)> = fps.iter().map(|&fp| (fp, names_digest)).collect();
+        let (out, misses) = self
+            .mentions
+            .get_or_compute(self.generation, &keys, threads, |i| {
+                Arc::new(scan(pages[i]))
+            });
+        self.stats.mention_pages_rescanned += misses;
+        self.stats.mention_hits += fps.len() - misses;
+        out
     }
 
     /// Build — or patch — the record index for the live-record sequence
@@ -552,9 +519,9 @@ mod tests {
         c.begin_pass();
         let _ = c.memo_scores(0, &[30, 40], &[(0, 1)], 1, |_, _| 2.5);
         c.end_pass();
-        assert_eq!(c.scores.len(), 1);
+        assert_eq!(c.scores.table.len(), 1);
         // The surviving key is the touched one.
-        assert!(c.scores.contains_key(&(0, 30, 40)));
+        assert!(c.scores.table.contains_key(&(0, 30, 40)));
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! re-assembled in shard order — so as long as the per-item function is
 //! pure, the output is *identical* to a serial run regardless of the worker
 //! count. All pipeline parallelism routes through here to keep that
-//! guarantee in one place.
+//! guarantee in one place; the one [`shard_map`] is `woc-matching`'s (the
+//! lowest crate that fans out), re-exported so callers keep this path.
 
 use std::num::NonZeroUsize;
+
+pub use woc_matching::shard::shard_map;
 
 /// Resolve a configured thread count: `0` means all available parallelism.
 pub fn resolve_threads(requested: usize) -> usize {
@@ -17,40 +20,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Map `f` over `items` on up to `threads` workers, preserving input order.
-///
-/// Items are split into contiguous chunks; each worker maps its chunk and
-/// the chunk results are concatenated in order, so the output equals
-/// `items.iter().map(f).collect()` exactly (for pure `f`) at any thread
-/// count.
-pub fn shard_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(f).collect();
-    }
-    let shards = threads.min(items.len());
-    let chunk = items.len().div_ceil(shards);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| {
-                let f = &f;
-                scope.spawn(move |_| shard.iter().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for h in handles {
-            out.extend(h.join().expect("pipeline shard worker panicked"));
-        }
-        out
-    })
-    .expect("pipeline shard scope")
 }
 
 #[cfg(test)]

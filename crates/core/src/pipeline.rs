@@ -130,20 +130,38 @@ impl WebOfConcepts {
     /// token lists [`record_index`](Self::record_index) holds, so a fresh
     /// segmented index is byte-identical to the flat one.
     pub fn segmented_record_index(&self, policy: MergePolicy) -> SegmentedLrecIndex {
-        let entries = self
-            .store
-            .live_ids()
-            .into_iter()
-            .map(|id| {
-                let rec = self
-                    .store
-                    .latest(id)
-                    .expect("invariant: live_ids() yields ids with a latest version");
-                (id, rec.concept(), LrecIndex::record_tokens(rec))
-            })
-            .collect();
-        SegmentedLrecIndex::new(entries, policy)
+        SegmentedLrecIndex::new(record_entries(&self.store), policy)
     }
+}
+
+/// The live records as record-index entries: `(id, concept, tokens)` in
+/// ascending id order — the sequence every record index (flat, segmented,
+/// shard-local) is built from, listed here once.
+pub fn record_entries(store: &Store) -> Vec<(LrecId, ConceptId, Vec<String>)> {
+    store
+        .live_ids()
+        .into_iter()
+        .map(|id| {
+            let rec = store
+                .latest(id)
+                .expect("invariant: live_ids() yields ids with a latest version");
+            (id, rec.concept(), LrecIndex::record_tokens(rec))
+        })
+        .collect()
+}
+
+/// A flat record index rebuilt from the store's live records (the
+/// segment-rebuild model the non-incremental paths use).
+pub(crate) fn flat_record_index(store: &Store) -> LrecIndex {
+    let mut index = LrecIndex::new();
+    for id in store.live_ids() {
+        index.add(
+            store
+                .latest(id)
+                .expect("invariant: live_ids() yields ids with a latest version"),
+        );
+    }
+    index
 }
 
 /// Field name → typed value, using the recognizer/kind conventions shared
@@ -1030,30 +1048,8 @@ pub fn build_with_caches(
 
     // --- Stage G: indexes ---------------------------------------------------
     let record_index = match caches.as_deref_mut() {
-        Some(c) => {
-            let entries: Vec<(LrecId, ConceptId, Vec<String>)> = store
-                .live_ids()
-                .into_iter()
-                .map(|id| {
-                    let rec = store
-                        .latest(id)
-                        .expect("invariant: live_ids() yields ids with a latest version");
-                    (id, rec.concept(), LrecIndex::record_tokens(rec))
-                })
-                .collect();
-            c.record_index_with(entries)
-        }
-        None => {
-            let mut record_index = LrecIndex::new();
-            for id in store.live_ids() {
-                record_index.add(
-                    store
-                        .latest(id)
-                        .expect("invariant: live_ids() yields ids with a latest version"),
-                );
-            }
-            record_index
-        }
+        Some(c) => c.record_index_with(record_entries(&store)),
+        None => flat_record_index(&store),
     };
     let (doc_index, doc_urls, doc_titles) = match caches.as_deref_mut() {
         // The patch-in-place cache wants each live page's fingerprint
@@ -1120,7 +1116,7 @@ pub(crate) fn document_plane<'a>(
 pub(crate) fn index_texts(live: &[(usize, &Page)]) -> InvertedIndex {
     let mut doc_index = InvertedIndex::new();
     for (_, page) in live {
-        doc_index.add_text(&format!("{} {}", page.title, page.text()));
+        doc_index.add_tokens(&memo::doc_tokens(page));
     }
     doc_index
 }

@@ -88,20 +88,6 @@ impl Taxonomy {
         category == ancestor || self.ancestors(category).contains(&ancestor)
     }
 
-    /// The full `is_a` chain for a record: its own category attribute plus
-    /// all curated ancestors (the "D40 → digital camera → camera" walk).
-    pub fn chain_for(&self, rec: &Lrec) -> Vec<String> {
-        let Some(cat) = rec
-            .best_string("category")
-            .or_else(|| rec.best_string("is_a"))
-        else {
-            return Vec::new();
-        };
-        let mut out = vec![cat.clone()];
-        out.extend(self.ancestors(&cat).iter().map(|s| s.to_string()));
-        out
-    }
-
     /// All records of `ids` whose category falls under `ancestor`.
     pub fn instances_under(&self, store: &Store, ids: &[LrecId], ancestor: &str) -> Vec<LrecId> {
         ids.iter()

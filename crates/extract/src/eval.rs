@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use woc_textkit::tokenize::normalize;
-use woc_webgen::{Page, TruthRecord};
+use woc_webgen::TruthRecord;
 
 use crate::ExtractedRecord;
 
@@ -164,15 +164,6 @@ pub fn score_records(
     }
     prf.fn_ = truth.len() - used.len();
     prf
-}
-
-/// Collect the truth records of a given concept from a page.
-pub fn truth_of_concept(page: &Page, concept: woc_lrec::ConceptId) -> Vec<&TruthRecord> {
-    page.truth
-        .records
-        .iter()
-        .filter(|t| t.concept == concept)
-        .collect()
 }
 
 #[cfg(test)]

@@ -365,29 +365,6 @@ impl Labeler {
         }
     }
 
-    /// Score of a label sequence under the model (for tests).
-    pub fn sequence_score(&self, tokens: &[String], labels: &[String]) -> f64 {
-        let l = self.labels.len();
-        let mut score = 0.0;
-        for i in 0..tokens.len() {
-            let y = self
-                .labels
-                .iter()
-                .position(|x| x == &labels[i])
-                .expect("invariant: scored labels come from the model label set");
-            let prev = if i == 0 {
-                l
-            } else {
-                self.labels
-                    .iter()
-                    .position(|x| x == &labels[i - 1])
-                    .expect("invariant: scored labels come from the model label set")
-            };
-            score += self.emit_scores(tokens, i)[y] + self.trans[prev][y];
-        }
-        score
-    }
-
     /// Predict labels for a token sequence.
     pub fn predict(&self, tokens: &[String]) -> Vec<String> {
         self.viterbi_ids(tokens)

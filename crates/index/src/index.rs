@@ -195,14 +195,6 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Empty index with explicit parameters.
-    pub fn with_params(params: Bm25Params) -> Self {
-        Self {
-            params,
-            ..Self::default()
-        }
-    }
-
     /// Index a document given as raw text (tokenized internally). Returns
     /// its assigned id.
     pub fn add_text(&mut self, text: &str) -> DocId {
@@ -305,7 +297,8 @@ impl InvertedIndex {
             .and_then(|pl| {
                 pl.binary_search_by_key(&doc, |&(d, _)| d)
                     .ok()
-                    .map(|i| pl[i].1.as_slice())
+                    .and_then(|i| pl.get(i))
+                    .map(|(_, ps)| ps.as_slice())
             })
             .unwrap_or(&[])
     }

@@ -26,5 +26,5 @@ pub use index::{BlockMaxIndex, BlockMeta, Bm25Params, Hit, InvertedIndex, Scorin
 pub use lrec_index::{scoped_term, FieldQuery, LrecIndex, RecordHit};
 pub use postings::{intersect, union, DocId, Posting, PostingList};
 pub use segment::{
-    DeltaOutcome, LrecSegment, MergePolicy, RecordChange, SegmentedLrecIndex, SEGMENT_BLOCK,
+    gather, DeltaOutcome, LrecSegment, MergePolicy, RecordChange, SegmentedLrecIndex, SEGMENT_BLOCK,
 };

@@ -106,6 +106,28 @@ impl FieldQuery {
         q.scoped.sort_unstable();
         q
     }
+
+    /// The index terms an evaluation scores, in summation order: the free
+    /// terms, then every scoped constraint rendered as the index stores it
+    /// ([`scoped_term`]). Also the vocabulary the serving cache's retention
+    /// scopes speak, so scope intersection is exact.
+    pub fn index_terms(&self) -> Vec<String> {
+        let mut terms = self.terms.clone();
+        terms.extend(self.scoped.iter().map(|(f, t)| scoped_term(f, t)));
+        terms
+    }
+
+    /// How many hits each segment fetches — and the merged ranking keeps —
+    /// for a final cut at `k`. An `is:` restriction that *resolved* filters
+    /// after ranking, so over-fetch, then trim; an unresolvable one filters
+    /// nothing. Saturating: `k` is caller-supplied.
+    pub fn fetch_budget(k: usize, concept_resolved: bool) -> usize {
+        if concept_resolved {
+            k.saturating_mul(8).saturating_add(32)
+        } else {
+            k
+        }
+    }
 }
 
 impl std::fmt::Display for FieldQuery {
@@ -293,7 +315,7 @@ impl LrecIndex {
         let concept_filter = query.concept.as_deref().and_then(&concept_resolver);
         // Over-fetch when filtering by concept, then trim.
         let fetch = if concept_filter.is_some() {
-            k * 8 + 32
+            k.saturating_mul(8).saturating_add(32)
         } else {
             k
         };

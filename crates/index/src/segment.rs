@@ -22,6 +22,18 @@
 //! the same pinned snapshot; at every compaction point the pinned snapshot
 //! *is* the flat index's own statistics, so the two-tier index is
 //! indistinguishable from a from-scratch rebuild.
+//!
+//! The fielded-query evaluator lives here once, in two halves.
+//! **Scatter** — [`LrecSegment::search`] — is one frozen segment's top
+//! hits under caller-supplied statistics and dead set; **gather** —
+//! [`gather`] — orders the scattered hits, cuts at
+//! [`FieldQuery::fetch_budget`], filters by concept and scoped
+//! requirement, and cuts at `k`. [`SegmentedLrecIndex::search`] scatters
+//! over its slots; `woc-cluster`'s router scatters over the shards'
+//! segments (a shard is a frozen segment over the records it owns, scored
+//! through the same pinned statistics with nothing dead) and calls the same
+//! gather. The flat [`LrecIndex`] keeps its own independent copy of the
+//! plan — it is the reference the equivalence suites compare against.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -158,11 +170,74 @@ impl LrecSegment {
         (id, concept)
     }
 
-    fn has_term(&self, id: LrecId, term: &str) -> bool {
+    /// Scatter half of the fielded-query evaluator: this segment's top
+    /// `fetch` records for the rendered `terms` (see
+    /// [`FieldQuery::index_terms`]), scored through the corpus-global
+    /// `stats` with the segment's own block-max metadata, skipping `dead`
+    /// docs without spending result slots on them.
+    pub fn search(
+        &self,
+        terms: &[String],
+        fetch: usize,
+        stats: &ScoringStats,
+        dead: &HashSet<DocId>,
+    ) -> Vec<RecordHit> {
+        self.index
+            .search_terms_pruned_with_stats(terms, fetch, stats, &self.blockmax, dead)
+            .into_iter()
+            .map(|h| {
+                let (id, concept) = self.entry(h.doc);
+                RecordHit {
+                    id,
+                    concept,
+                    score: h.score,
+                }
+            })
+            .collect()
+    }
+
+    /// True if this segment's version of record `id` contains the rendered
+    /// index `term` — the per-record predicate behind scoped requirements.
+    pub fn has_term(&self, id: LrecId, term: &str) -> bool {
         self.by_lrec
             .get(&id)
             .is_some_and(|&doc| !self.index.positions(term, doc).is_empty())
     }
+}
+
+/// Gather half of the fielded-query evaluator: merge scattered segment hits
+/// into the flat index's order, cut at the fetch budget, apply the resolved
+/// `concept` filter and the scoped *requirements* (a hit must contain every
+/// scoped term; `has_term` asks the segment serving the record), cut at `k`.
+/// Segments index in ascending record-id order, so the flat
+/// `(score desc, doc asc)` tie-break is `(score desc, id asc)`.
+pub fn gather(
+    mut hits: Vec<RecordHit>,
+    query: &FieldQuery,
+    k: usize,
+    concept: Option<ConceptId>,
+    has_term: impl Fn(LrecId, &str) -> bool,
+) -> Vec<RecordHit> {
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.id.cmp(&b.id))
+    });
+    hits.truncate(FieldQuery::fetch_budget(k, concept.is_some()));
+    if let Some(c) = concept {
+        hits.retain(|h| h.concept == c);
+    }
+    if !query.scoped.is_empty() {
+        let required: Vec<String> = query
+            .scoped
+            .iter()
+            .map(|(f, t)| scoped_term(f, t))
+            .collect();
+        hits.retain(|h| required.iter().all(|t| has_term(h.id, t)));
+    }
+    hits.truncate(k);
+    hits
 }
 
 /// The two-tier segmented record index: `base` + `deltas`, all scored
@@ -436,74 +511,31 @@ impl SegmentedLrecIndex {
         self.reindex();
     }
 
-    /// Search with a parsed [`FieldQuery`], scoring every segment through
-    /// the pinned statistics with block-max pruning. Returns exactly what a
-    /// flat [`LrecIndex`] over the live records would return from
-    /// [`LrecIndex::search_with_stats`] with the same pinned snapshot — same
-    /// hits, same order, same score bits (the differential harness in
-    /// `tests/segment_equiv.rs` holds this across churn and merge schedules).
+    /// Search with a parsed [`FieldQuery`]: scatter over the slots (each
+    /// scored through the pinned statistics, skipping its dead docs), then
+    /// [`gather`]. Returns exactly what a flat [`LrecIndex`] over the live
+    /// records would return from [`LrecIndex::search_with_stats`] with the
+    /// same pinned snapshot — same hits, same order, same score bits (the
+    /// differential harness in `tests/segment_equiv.rs` holds this across
+    /// churn and merge schedules).
     pub fn search(
         &self,
         query: &FieldQuery,
         k: usize,
         concept_resolver: impl Fn(&str) -> Option<ConceptId>,
     ) -> Vec<RecordHit> {
-        let mut terms: Vec<String> = query.terms.clone();
-        for (f, t) in &query.scoped {
-            terms.push(scoped_term(f, t));
-        }
-        let concept_filter = query.concept.as_deref().and_then(&concept_resolver);
-        // Over-fetch when filtering by concept, then trim — mirrors the flat
-        // path exactly.
-        let fetch = if concept_filter.is_some() {
-            k * 8 + 32
-        } else {
-            k
-        };
-        let mut merged: Vec<RecordHit> = Vec::new();
+        let concept = query.concept.as_deref().and_then(&concept_resolver);
+        let terms = query.index_terms();
+        let fetch = FieldQuery::fetch_budget(k, concept.is_some());
+        let mut hits: Vec<RecordHit> = Vec::new();
         for slot in 0..self.segment_count() {
             let seg = self.slot(slot);
-            for h in seg.index.search_terms_pruned_with_stats(
-                &terms,
-                fetch,
-                &self.pinned,
-                &seg.blockmax,
-                &self.dead[slot],
-            ) {
-                let (id, concept) = seg.entry(h.doc);
-                merged.push(RecordHit {
-                    id,
-                    concept,
-                    score: h.score,
-                });
-            }
+            hits.extend(seg.search(&terms, fetch, &self.pinned, &self.dead[slot]));
         }
-        // Flat doc ids are assigned in ascending record-id order, so the
-        // flat `(score desc, doc asc)` tie-break is `(score desc, id asc)`.
-        merged.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        merged.truncate(fetch);
-        let mut out: Vec<RecordHit> = merged
-            .into_iter()
-            .filter(|h| concept_filter.is_none_or(|c| h.concept == c))
-            .collect();
-        if !query.scoped.is_empty() {
-            let required: Vec<String> = query
-                .scoped
-                .iter()
-                .map(|(f, t)| scoped_term(f, t))
-                .collect();
-            out.retain(|h| {
-                let seg = self.slot(self.live[&h.id]);
-                required.iter().all(|rt| seg.has_term(h.id, rt))
-            });
-        }
-        out.truncate(k);
-        out
+        gather(hits, query, k, concept, |id, term| {
+            self.owner_of(id)
+                .is_some_and(|slot| self.slot(slot).has_term(id, term))
+        })
     }
 
     /// Build the flat [`LrecIndex`] this segmented index is equivalent to:

@@ -169,7 +169,7 @@ fn assert_equivalent(seg: &SegmentedLrecIndex, truth: &Truth, ctx: &str) {
     );
     assert_eq!(seg.live_len(), truth.len(), "{ctx}: live count diverges");
     for q in queries() {
-        for k in [1usize, 3, 10] {
+        for k in [1usize, 3, 10, usize::MAX] {
             let a = seg.search(&q, k, resolver);
             let b = flat.search_with_stats(&q, k, resolver, seg.pinned_stats());
             assert_hits_identical(&a, &b, &format!("{ctx}, query `{q}`, k={k}"));

@@ -39,5 +39,5 @@ pub use record::{Lrec, ValueEntry};
 pub use schema::{
     AttrKind, AttrSpec, Cardinality, ConceptRegistry, ConceptSchema, Domain, Violation,
 };
-pub use store::{ConcurrentStore, Store, StoreError};
+pub use store::{Store, StoreError};
 pub use value::AttrValue;

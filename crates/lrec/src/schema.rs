@@ -276,11 +276,6 @@ impl ConceptRegistry {
         self.schemas.get_mut(id.0 as usize)
     }
 
-    /// The schema for a concept name.
-    pub fn schema_by_name(&self, name: &str) -> Option<&ConceptSchema> {
-        self.id_of(name).and_then(|id| self.schema(id))
-    }
-
     /// All registered schemas.
     pub fn schemas(&self) -> impl Iterator<Item = &ConceptSchema> {
         self.schemas.iter()

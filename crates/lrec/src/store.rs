@@ -3,13 +3,10 @@
 //! The store enforces stipulation 1 (unique ids), keeps an append-only
 //! version chain per record ("maintain versions of important concept
 //! instances over windows of time", §2.3), and maintains a by-concept
-//! secondary index. A [`ConcurrentStore`] wrapper provides shared access for
-//! the parallel construction pipeline.
+//! secondary index.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ConceptId, LrecId, Tick};
@@ -78,8 +75,7 @@ impl Chain {
     }
 }
 
-/// A single-writer versioned record store. See [`ConcurrentStore`] for the
-/// shared variant.
+/// A single-writer versioned record store.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Store {
     chains: HashMap<LrecId, Chain>,
@@ -301,53 +297,6 @@ impl Store {
     }
 }
 
-/// Thread-safe store handle for the parallel construction pipeline.
-///
-/// Cloning is cheap (an `Arc`); readers proceed concurrently and writers
-/// exclude via a `parking_lot::RwLock`.
-#[derive(Debug, Clone, Default)]
-pub struct ConcurrentStore {
-    inner: Arc<RwLock<Store>>,
-}
-
-impl ConcurrentStore {
-    /// Empty concurrent store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wrap an existing store.
-    pub fn from_store(store: Store) -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(store)),
-        }
-    }
-
-    /// Run a closure with read access.
-    pub fn read<R>(&self, f: impl FnOnce(&Store) -> R) -> R {
-        // woc-lint: allow(lock-across-io) — with-style combinator: running the
-        // closure under the guard is the contract; callers must not acquire
-        // other locks inside (ConcurrentStore.inner is a leaf in the order).
-        f(&self.inner.read())
-    }
-
-    /// Run a closure with write access.
-    pub fn write<R>(&self, f: impl FnOnce(&mut Store) -> R) -> R {
-        // woc-lint: allow(lock-across-io) — with-style combinator: running the
-        // closure under the guard is the contract; callers must not acquire
-        // other locks inside (ConcurrentStore.inner is a leaf in the order).
-        f(&mut self.inner.write())
-    }
-
-    /// Take the store out, leaving an empty one (end of pipeline).
-    pub fn into_store(self) -> Store {
-        match Arc::try_unwrap(self.inner) {
-            Ok(lock) => lock.into_inner(),
-            Err(arc) => arc.read().clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,16 +417,5 @@ mod tests {
         assert_eq!(s.by_concept(C), vec![a]);
         assert_eq!(s.by_concept(c1), vec![b]);
         assert!(s.by_concept(ConceptId(9)).is_empty());
-    }
-
-    #[test]
-    fn concurrent_store_shared_mutation() {
-        let cs = ConcurrentStore::new();
-        let cs2 = cs.clone();
-        let id = cs.write(|s| s.create(C, Tick(0)));
-        let seen = cs2.read(|s| s.latest(id).is_some());
-        assert!(seen);
-        let store = cs.into_store();
-        assert_eq!(store.live_count(), 1);
     }
 }

@@ -55,7 +55,7 @@ use woc_apps::{
     ConceptResult, Recommendation,
 };
 use woc_core::{shard_map, WebOfConcepts};
-use woc_index::{scoped_term, FieldQuery, MergePolicy, SegmentedLrecIndex};
+use woc_index::{FieldQuery, MergePolicy, SegmentedLrecIndex};
 use woc_lrec::{LrecId, Violation};
 
 pub use cache::Scope;
@@ -562,7 +562,7 @@ impl ConceptServer {
                 hits.retain(|h| conforms(woc, h.id));
             }
             let scope = Scope {
-                terms: scope_terms(&fq),
+                terms: fq.index_terms(),
                 records: raw.iter().map(|h| h.id).collect(),
             };
             (Response::Search(hits), Some(scope))
@@ -681,18 +681,6 @@ impl ConceptServer {
             micros,
         }
     }
-}
-
-/// The rendered index terms a search evaluation reads: free terms plus
-/// scoped constraints rendered exactly as the index stores them — the
-/// vocabulary [`SegmentDelta::changed_terms`] speaks, so retention
-/// intersection is exact.
-fn scope_terms(fq: &FieldQuery) -> Vec<String> {
-    let mut terms = fq.terms.clone();
-    for (f, t) in &fq.scoped {
-        terms.push(scoped_term(f, t));
-    }
-    terms
 }
 
 /// The degraded (empty) response an endpoint answers with when its

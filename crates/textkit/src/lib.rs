@@ -7,7 +7,7 @@
 //! * [`metrics`] — string similarity measures (Levenshtein, Jaro-Winkler,
 //!   Jaccard, Dice, cosine) used by entity matching,
 //! * [`tfidf`] — corpus statistics and TF-IDF sparse vectors,
-//! * [`lm`] — unigram/bigram language models with smoothing, the backbone of
+//! * [`lm`] — unigram language models with smoothing, the backbone of
 //!   the record↔text generative matcher (paper §4.2 "Matching"),
 //! * [`recognize`] — *domain knowledge* field recognizers (phone, zip, price,
 //!   date, hours, email, URL) used by domain-centric list extraction

@@ -1,4 +1,4 @@
-//! Unigram and bigram language models with smoothing.
+//! Unigram language models with smoothing.
 //!
 //! These back the *domain-centric generative model of text* that the paper's
 //! matching work (§4.2 "Matching", reference \[23\]) uses to decide which
@@ -94,79 +94,6 @@ impl UnigramLm {
     }
 }
 
-/// A bigram model with backoff to a unigram model; used for fluency scoring
-/// of synthetic text and perplexity-based tests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BigramLm {
-    unigram: UnigramLm,
-    bigrams: HashMap<(String, String), u64>,
-    context_totals: HashMap<String, u64>,
-    /// Weight on the bigram estimate; remainder backs off to the unigram.
-    beta: f64,
-}
-
-impl BigramLm {
-    /// Create an empty bigram model with backoff weight `beta`.
-    pub fn new(beta: f64) -> Self {
-        assert!((0.0..=1.0).contains(&beta));
-        Self {
-            unigram: UnigramLm::standard(),
-            bigrams: HashMap::new(),
-            context_totals: HashMap::new(),
-            beta,
-        }
-    }
-
-    /// Observe a token sequence (counts all unigrams and adjacent bigrams).
-    pub fn observe<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.unigram.observe(tokens);
-        for w in tokens.windows(2) {
-            let key = (w[0].as_ref().to_string(), w[1].as_ref().to_string());
-            *self.bigrams.entry(key).or_insert(0) += 1;
-            *self
-                .context_totals
-                .entry(w[0].as_ref().to_string())
-                .or_insert(0) += 1;
-        }
-    }
-
-    /// P(next | prev) with backoff.
-    pub fn cond_prob(&self, prev: &str, next: &str) -> f64 {
-        let uni = self.unigram.prob(next);
-        let ctx = self.context_totals.get(prev).copied().unwrap_or(0);
-        if ctx == 0 {
-            return uni;
-        }
-        let big = self
-            .bigrams
-            .get(&(prev.to_string(), next.to_string()))
-            .copied()
-            .unwrap_or(0) as f64
-            / ctx as f64;
-        self.beta * big + (1.0 - self.beta) * uni
-    }
-
-    /// Log-likelihood of a sequence (first token scored by the unigram).
-    pub fn log_likelihood<S: AsRef<str>>(&self, tokens: &[S]) -> f64 {
-        if tokens.is_empty() {
-            return 0.0;
-        }
-        let mut ll = self.unigram.prob(tokens[0].as_ref()).ln();
-        for w in tokens.windows(2) {
-            ll += self.cond_prob(w[0].as_ref(), w[1].as_ref()).ln();
-        }
-        ll
-    }
-
-    /// Perplexity per token; lower is more fluent under the model.
-    pub fn perplexity<S: AsRef<str>>(&self, tokens: &[S]) -> f64 {
-        if tokens.is_empty() {
-            return 1.0;
-        }
-        (-self.log_likelihood(tokens) / tokens.len() as f64).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,31 +135,5 @@ mod tests {
             l1 > l2,
             "review should be attributed to gochi: {l1} vs {l2}"
         );
-    }
-
-    #[test]
-    fn bigram_captures_order() {
-        let mut lm = BigramLm::new(0.9);
-        lm.observe(&["hours", "of", "operation"]);
-        lm.observe(&["hours", "of", "operation"]);
-        assert!(lm.cond_prob("hours", "of") > lm.cond_prob("of", "hours"));
-    }
-
-    #[test]
-    fn bigram_perplexity_lower_on_training_data() {
-        let mut lm = BigramLm::new(0.9);
-        let train = ["best", "salsa", "in", "chicago"];
-        for _ in 0..10 {
-            lm.observe(&train);
-        }
-        let junk = ["zebra", "quantum", "vortex", "pickle"];
-        assert!(lm.perplexity(&train) < lm.perplexity(&junk));
-    }
-
-    #[test]
-    fn empty_sequence_loglik_zero() {
-        let lm = BigramLm::new(0.5);
-        assert_eq!(lm.log_likelihood::<&str>(&[]), 0.0);
-        assert_eq!(lm.perplexity::<&str>(&[]), 1.0);
     }
 }
