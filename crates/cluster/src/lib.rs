@@ -174,8 +174,13 @@ pub struct ClusterServer {
 impl ClusterServer {
     /// Partition `woc` across the configured topology and start serving
     /// epoch 1 on every replica. `corpus` supplies document text for the
-    /// shard doc indexes (the web stores URLs and titles, not bodies).
-    pub fn new(corpus: &WebCorpus, woc: WebOfConcepts, config: ClusterConfig) -> Self {
+    /// shard doc indexes (the web stores URLs and titles, not bodies). The
+    /// web is shared as [`ConceptServer::new`] shares it.
+    pub fn new(
+        corpus: &WebCorpus,
+        woc: impl Into<Arc<WebOfConcepts>>,
+        config: ClusterConfig,
+    ) -> Self {
         assert!(config.shards >= 1, "a cluster needs at least one shard");
         assert!(config.replicas >= 1, "a shard needs at least one replica");
         let full = ConceptServer::new(woc, ServeConfig::default());
@@ -305,7 +310,7 @@ impl ClusterServer {
     pub fn publish(
         &self,
         corpus: &WebCorpus,
-        woc: WebOfConcepts,
+        woc: impl Into<Arc<WebOfConcepts>>,
         delta: &SegmentDelta,
         segments: Arc<SegmentedLrecIndex>,
     ) -> u64 {

@@ -74,10 +74,11 @@ impl Default for PipelineConfig {
 
 /// The constructed web of concepts.
 ///
-/// `Clone` is what publishing costs: the maintenance engine keeps its own
-/// web and ships a clone to the serving tier as the next snapshot epoch,
-/// so readers of the old epoch drain undisturbed while the engine keeps
-/// maintaining its copy.
+/// Immutable once built: a maintenance pass builds the next web beside it
+/// and the engine, the served snapshot and every pinned reader share one
+/// allocation behind an `Arc` — publishing an epoch clones a pointer, and
+/// the web is freed once, when its last holder lets go. `Clone` is the deep
+/// copy for callers that want a web of their own to mutate.
 #[derive(Debug, Clone)]
 pub struct WebOfConcepts {
     /// Concept registry.
@@ -449,16 +450,24 @@ pub fn build(corpus: &WebCorpus, config: &PipelineConfig) -> WebOfConcepts {
 }
 
 /// Like [`build`], threading [`BuildCaches`] memo caches through the pure
-/// heavy stages: page extraction, pair scoring, the mention scan and index
-/// construction. `build_with_caches(c, cfg, Some(&mut caches))` returns a
-/// web **byte-identical** to `build(c, cfg)` — every memo is keyed purely
-/// on the content its computation reads — while recomputing only what
-/// changed since the caches were last used. The `woc-incr` maintenance
-/// engine is the caller; [`build`] itself delegates here with `None`.
+/// heavy stages: page extraction, entity-resolution blocking and pair
+/// scoring, the mention scan and index construction. The caches come with
+/// the page-order fingerprints of `corpus`
+/// ([`BuildCaches::fingerprint_pages`]) — the caller has them from change
+/// detection, so a pass fingerprints each page once.
+/// `build_with_caches(c, cfg, Some((&mut caches, &fps)))` returns a web
+/// **byte-identical** to `build(c, cfg)` — every memo is keyed purely on
+/// the content its computation reads — while recomputing only what changed
+/// since the caches were last used. The `woc-incr` maintenance engine is
+/// the caller; [`build`] itself delegates here with `None`.
+///
+/// # Panics
+///
+/// When the fingerprint vector is not one per page of `corpus`.
 pub fn build_with_caches(
     corpus: &WebCorpus,
     config: &PipelineConfig,
-    mut caches: Option<&mut BuildCaches>,
+    caches: Option<(&mut BuildCaches, &[u64])>,
 ) -> WebOfConcepts {
     let (registry, concepts) = standard_registry();
     let mut store = Store::new();
@@ -473,17 +482,23 @@ pub fn build_with_caches(
     // --- Stage A: page extraction (sharded over pages) -------------------
     let pages: Vec<&Page> = corpus.pages().iter().collect();
     let (use_lists, use_detail) = (config.use_lists, config.use_detail);
-    let page_fps: Vec<u64> = if caches.is_some() {
-        shard_map(&pages, threads, |p| p.fingerprint())
-    } else {
-        Vec::new()
+    let (mut caches, page_fps) = match caches {
+        Some((c, fps)) => {
+            assert_eq!(
+                fps.len(),
+                pages.len(),
+                "a cached build takes one fingerprint per page"
+            );
+            (Some(c), fps)
+        }
+        None => (None, &[][..]),
     };
     if let Some(c) = caches.as_deref_mut() {
         c.begin_pass();
     }
     let extract_one = |p: &Page| extract_page_with(p, &profiles, use_lists, use_detail);
     let extracted: Vec<std::sync::Arc<Vec<ExtractedRecord>>> = match caches.as_deref_mut() {
-        Some(c) => c.memo_extract(&page_fps, &pages, threads, extract_one),
+        Some(c) => c.memo_extract(page_fps, &pages, threads, extract_one),
         None => shard_map(&pages, threads, |p| std::sync::Arc::new(extract_one(p))),
     };
     report.pages_scanned = pages.len();
@@ -534,19 +549,12 @@ pub fn build_with_caches(
                     }
                 }
             }
-            let id = store.insert(cid, tick, |r| {
-                for (field, raw) in &fields {
-                    r.add(
-                        field,
-                        type_value(field, raw),
-                        Provenance::extracted(&page.url, op, rec.confidence, tick),
-                    );
-                }
-            });
-            lineage.record(id, op_node);
-            web.associate(id, &page.url, AssocKind::ExtractedFrom);
-            created.push(id);
-            record_sites.push((id, page.site.clone()));
+            // Each field is typed once: the claim takes a clone, the record
+            // the value itself.
+            let values: Vec<AttrValue> = fields
+                .iter()
+                .map(|(field, raw)| type_value(field, raw))
+                .collect();
             if config.trust.enabled && config.trust.concepts.iter().any(|c| c == concept_name) {
                 let name = fields
                     .iter()
@@ -561,7 +569,7 @@ pub fn build_with_caches(
                 // Unnamed records would all pool together; skip them.
                 if !name.is_empty() {
                     let pool = pool_key(concept_name, name, city);
-                    for (field, raw) in &fields {
+                    for ((field, _), value) in fields.iter().zip(&values) {
                         // Pool-key attributes (name, city) are tautologically
                         // in agreement within a pool — every site "wins" them,
                         // so they carry no reliability signal and would only
@@ -573,12 +581,25 @@ pub fn build_with_caches(
                             site: page.site.clone(),
                             pool: pool.clone(),
                             attr: field.clone(),
-                            value: type_value(field, raw),
+                            value: value.clone(),
                             confidence: rec.confidence,
                         });
                     }
                 }
             }
+            let id = store.insert(cid, tick, |r| {
+                for ((field, _), value) in fields.iter().zip(values) {
+                    r.add(
+                        field,
+                        value,
+                        Provenance::extracted(&page.url, op, rec.confidence, tick),
+                    );
+                }
+            });
+            lineage.record(id, op_node);
+            web.associate(id, &page.url, AssocKind::ExtractedFrom);
+            created.push(id);
+            record_sites.push((id, page.site.clone()));
         }
     }
     report.lrecs_extracted = created.len();
@@ -645,21 +666,23 @@ pub fn build_with_caches(
             })
             .collect();
         let refs: Vec<&Lrec> = recs.iter().collect();
-        let pairs = candidate_pairs_sharded(&refs, 200, threads);
+        let block = || candidate_pairs_sharded(&refs, 200, threads);
         let fs = scorer_for(cname);
-        let scored: Vec<(usize, usize, f64)> = match caches.as_deref_mut() {
+        let scored: memo::ScoredPairs = match caches.as_deref_mut() {
             Some(c) => {
                 // Digests are taken pre-merge, before any `Ref` values
                 // exist, so they are pure functions of extracted content —
                 // stable under the id renumbering a removed page causes.
+                // Blocking and scoring read nothing else, so a concept
+                // whose digest sequence is unchanged skips both.
                 let digests: Vec<u64> = shard_map(&refs, threads, |r| memo::content_digest(r));
-                c.memo_scores(cid.0, &digests, &pairs, threads, |i, j| {
+                c.memo_partition(cid.0, &digests, threads, block, |i, j| {
                     fs.score(&recs[i], &recs[j])
                 })
             }
-            None => shard_map(&pairs, threads, |&(i, j)| {
+            None => std::sync::Arc::new(shard_map(&block(), threads, |&(i, j)| {
                 (i, j, fs.score(&recs[i], &recs[j]))
-            }),
+            })),
         };
         report.match_pairs_scored += scored.len();
         let mut uf = if config.collective {
@@ -882,7 +905,7 @@ pub fn build_with_caches(
             names.sort_unstable();
             names.dedup();
             let names_digest = memo::digest_strs(&names);
-            let matched = c.memo_mentions(&page_fps, &pages, names_digest, threads, |page| {
+            let matched = c.memo_mentions(page_fps, &pages, names_digest, threads, |page| {
                 let text = normalize(&page.text());
                 names
                     .iter()
@@ -976,7 +999,7 @@ pub fn build_with_caches(
         names
     };
     let also_names: Vec<std::sync::Arc<Vec<String>>> = match caches.as_deref_mut() {
-        Some(c) => c.memo_also(&page_fps, &pages, threads, scan_also),
+        Some(c) => c.memo_also(page_fps, &pages, threads, scan_also),
         None => pages
             .iter()
             .map(|p| std::sync::Arc::new(scan_also(p)))
@@ -1440,8 +1463,9 @@ mod tests {
         let cfg = PipelineConfig::default();
         let fresh = build(&corpus, &cfg);
         let mut caches = BuildCaches::new();
-        let cold = build_with_caches(&corpus, &cfg, Some(&mut caches));
-        let warm = build_with_caches(&corpus, &cfg, Some(&mut caches));
+        let fps = caches.fingerprint_pages(&corpus, cfg.threads);
+        let cold = build_with_caches(&corpus, &cfg, Some((&mut caches, &fps)));
+        let warm = build_with_caches(&corpus, &cfg, Some((&mut caches, &fps)));
         for woc in [&cold, &warm] {
             assert_eq!(woc.record_index.digest(), fresh.record_index.digest());
             assert_eq!(woc.doc_index.digest(), fresh.doc_index.digest());
@@ -1449,7 +1473,9 @@ mod tests {
             assert_eq!(woc.store.total_created(), fresh.store.total_created());
             assert_eq!(woc.web.len(), fresh.web.len());
         }
-        // Second pass over an unchanged corpus: everything is a memo hit.
+        // Second pass over an unchanged corpus: everything is a memo hit,
+        // and the one fingerprint sweep was charged to the first pass.
+        assert_eq!(caches.stats().pages_fingerprinted, 0);
         assert_eq!(caches.stats().pages_reextracted, 0);
         assert_eq!(caches.stats().pairs_rescored, 0);
         assert_eq!(caches.stats().mention_pages_rescanned, 0);

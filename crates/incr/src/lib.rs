@@ -8,7 +8,9 @@
 //! 1. **Change detection** — every page gets a stable content fingerprint
 //!    ([`woc_webgen::Page::fingerprint`]); [`IncrEngine::changes`] diffs the
 //!    fingerprints of a fresh crawl against the previous epoch's into a
-//!    [`ChangeSet`] of dirty, added and removed pages.
+//!    [`ChangeSet`] of dirty, added and removed pages. A maintenance pass
+//!    fingerprints each page once: the vector it diffs is the one the
+//!    replay keys its per-page memos on.
 //! 2. **Dirty-set propagation** — the lineage DAG maps dirty pages to the
 //!    records derived from them ([`woc_core::Lineage::records_from_document`]);
 //!    the pass reports the affected partition and which records are
@@ -19,7 +21,10 @@
 //!    scanning and index construction are content-keyed memos, so only work
 //!    downstream of the dirty set is recomputed, and index postings are
 //!    patched in place ([`woc_index::InvertedIndex::replace_doc`]) rather
-//!    than rebuilt. Because every memo is a pure-function memo, the
+//!    than rebuilt. Entity resolution is memoized per concept as well: a
+//!    concept no dirty page reaches — its record sequence digests to the
+//!    same key — skips blocking and every pair probe (the concept-partition
+//!    memo, `woc_core::memo`). Because every memo is a pure-function memo, the
 //!    maintained web is **byte-identical** to a from-scratch rebuild at the
 //!    same epoch — [`canonical_bytes`] is the oracle the equivalence tests
 //!    and the `incr-equivalence` CI gate compare with.
@@ -27,15 +32,19 @@
 //!    pass into a [`woc_serve::SegmentDelta`] ([`segment_delta`]) and ships
 //!    the maintained web and its segmented index through the serving
 //!    tier's one publish door
-//!    ([`woc_serve::ConceptServer::publish_delta_segmented`]): a no-op pass
+//!    ([`woc_serve::ConceptServer::publish_delta_segmented`]). An epoch is
+//!    one object: the engine holds its web behind an `Arc` and the publish
+//!    ships a clone of the pointer, so the engine, the served snapshot and
+//!    every pinned reader share one allocation — built once, never
+//!    deep-cloned, freed once when its last holder lets go. A no-op pass
 //!    keeps the served epoch and its warm result cache; a real change
 //!    publishes a new epoch and invalidates only the cached answers its
 //!    changed terms and records touch. A failed pass publishes nothing and
 //!    marks the server degraded.
 //!
 //! An empty [`ChangeSet`] short-circuits the whole pass —
-//! [`MaintainReport::short_circuited`] — without cloning, rebuilding or
-//! publishing anything.
+//! [`MaintainReport::short_circuited`] — without rebuilding or publishing
+//! anything.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,6 +95,11 @@ pub struct MaintainReport {
     pub pages_scanned: usize,
     /// Pages whose fingerprint changed, plus added and removed pages.
     pub pages_dirty: usize,
+    /// `Page::fingerprint` calls since the previous replay began, charged
+    /// to this one: `pages_scanned` when every pass replays — one sweep of
+    /// the crawl per pass. A short-circuited or rejected pass replays
+    /// nothing; its sweep is charged to the next replay.
+    pub pages_fingerprinted: usize,
     /// True when the change set was empty and the pass did nothing.
     pub short_circuited: bool,
     /// Live records derived (per lineage) from dirty or removed pages —
@@ -148,14 +162,16 @@ pub struct MaintainReport {
 /// the pass before any state is touched.
 pub type FaultHook = Box<dyn Fn(&ChangeSet) -> Result<(), String> + Send>;
 
-/// The incremental maintenance engine: owns the current web, the page
+/// The incremental maintenance engine: holds the current web, the page
 /// fingerprints it was built from, and the memo caches that make the next
-/// pass cheap.
+/// pass cheap. The web sits behind an `Arc` the engine shares with the
+/// serving tier ([`IncrEngine::maintain_and_publish`]): one allocation per
+/// epoch, whoever reads it.
 pub struct IncrEngine {
     config: PipelineConfig,
     caches: BuildCaches,
     fingerprints: HashMap<String, u64>,
-    web: WebOfConcepts,
+    web: Arc<WebOfConcepts>,
     segments: SegmentedLrecIndex,
     fault_hook: Option<FaultHook>,
 }
@@ -175,13 +191,14 @@ impl IncrEngine {
     /// cache) and remember its fingerprints.
     pub fn new(corpus: &WebCorpus, config: PipelineConfig) -> Self {
         let mut caches = BuildCaches::new();
-        let web = build_with_caches(corpus, &config, Some(&mut caches));
+        let fps = caches.fingerprint_pages(corpus, config.threads);
+        let web = build_with_caches(corpus, &config, Some((&mut caches, &fps)));
         let segments = web.segmented_record_index(MergePolicy::default());
         Self {
             config,
             caches,
-            fingerprints: fingerprint_map(corpus),
-            web,
+            fingerprints: fingerprint_map(corpus, &fps),
+            web: Arc::new(web),
             segments,
             fault_hook: None,
         }
@@ -232,15 +249,16 @@ impl IncrEngine {
     /// Layer 1 — change detection: diff `corpus` against the fingerprints
     /// of the engine's current epoch.
     pub fn changes(&self, corpus: &WebCorpus) -> ChangeSet {
-        self.changes_from(corpus, &fingerprint_map(corpus))
+        let fps: Vec<u64> = corpus.pages().iter().map(|p| p.fingerprint()).collect();
+        self.changes_from(corpus, &fps)
     }
 
-    /// Change detection against already-computed fingerprints of `corpus`
-    /// (so a maintain pass fingerprints each page exactly once).
-    fn changes_from(&self, corpus: &WebCorpus, new_fps: &HashMap<String, u64>) -> ChangeSet {
+    /// Change detection against the already-computed page-order
+    /// fingerprints of `corpus` (so a maintain pass fingerprints each page
+    /// exactly once).
+    fn changes_from(&self, corpus: &WebCorpus, new_fps: &[u64]) -> ChangeSet {
         let mut set = ChangeSet::default();
-        for page in corpus.pages() {
-            let fp = new_fps[&page.url];
+        for (page, &fp) in corpus.pages().iter().zip(new_fps) {
             match self.fingerprints.get(&page.url) {
                 Some(&old) if old == fp => {}
                 Some(_) => set.dirty.push(page.url.clone()),
@@ -250,7 +268,7 @@ impl IncrEngine {
         set.removed = self
             .fingerprints
             .keys()
-            .filter(|url| !new_fps.contains_key(url.as_str()))
+            .filter(|url| corpus.get(url).is_none())
             .cloned()
             .collect();
         set.dirty.sort_unstable();
@@ -270,7 +288,7 @@ impl IncrEngine {
     /// fingerprints are exactly what they were before the call — the last
     /// good epoch stays servable.
     pub fn maintain(&mut self, corpus: &WebCorpus) -> Result<MaintainReport, MaintainError> {
-        let new_fps = fingerprint_map(corpus);
+        let new_fps = self.caches.fingerprint_pages(corpus, self.config.threads);
         let changes = self.changes_from(corpus, &new_fps);
         let mut report = MaintainReport {
             pages_scanned: corpus.len(),
@@ -325,7 +343,7 @@ impl IncrEngine {
         // leave a wrong one, and `self.web` / `self.fingerprints` are not
         // touched until the replay has returned.
         let new_web = catch_unwind(AssertUnwindSafe(|| {
-            build_with_caches(corpus, &self.config, Some(&mut self.caches))
+            build_with_caches(corpus, &self.config, Some((&mut self.caches, &new_fps)))
         }))
         .map_err(MaintainError::from_panic)?;
 
@@ -344,6 +362,7 @@ impl IncrEngine {
         report.touched_concepts = touched.into_iter().collect();
 
         let stats = self.caches.stats();
+        report.pages_fingerprinted = stats.pages_fingerprinted;
         report.pages_reextracted = stats.pages_reextracted;
         report.pairs_rescored = stats.pairs_rescored;
         report.mention_pages_rescanned = stats.mention_pages_rescanned;
@@ -398,8 +417,11 @@ impl IncrEngine {
             .filter(|&id| self.web.store.latest(id) != new_web.store.latest(id))
             .collect();
 
-        self.web = new_web;
-        self.fingerprints = new_fps;
+        // The swap frees nothing while the serving tier still holds the
+        // outgoing epoch; the one deep drop per epoch happens wherever its
+        // last holder lets go.
+        self.web = Arc::new(new_web);
+        self.fingerprints = fingerprint_map(corpus, &new_fps);
 
         // Absorb the pass into the segmented index as one delta segment
         // (newest-wins shadowing; tombstones for removals), letting the
@@ -423,9 +445,10 @@ impl IncrEngine {
 
     /// Layer 4 — maintain, then publish the result through the serving
     /// tier's one door ([`woc_serve::ConceptServer::publish_delta_segmented`]):
-    /// the server ships the engine's maintained segments (sharing the frozen
-    /// base across epochs) and retains every cached entry whose scope the
-    /// pass provably did not touch, instead of dropping the cache wholesale.
+    /// the server ships the engine's own web — the same `Arc`, not a copy —
+    /// with its maintained segments (sharing the frozen base across epochs)
+    /// and retains every cached entry whose scope the pass provably did not
+    /// touch, instead of dropping the cache wholesale.
     /// A short-circuited or ineffective pass publishes nothing: the server
     /// keeps its epoch and its warm result cache. A failed pass publishes
     /// nothing either — the error is recorded on the server, which stays
@@ -440,7 +463,7 @@ impl IncrEngine {
             .maintain(corpus)
             .inspect_err(|err| server.record_maintain_failure(err))?;
         let epoch = server.publish_delta_segmented(
-            self.web.clone(),
+            Arc::clone(&self.web),
             &segment_delta(&report),
             Arc::new(self.segments.clone()),
         );
@@ -468,11 +491,13 @@ pub fn segment_delta(report: &MaintainReport) -> SegmentDelta {
     }
 }
 
-fn fingerprint_map(corpus: &WebCorpus) -> HashMap<String, u64> {
+/// URL → fingerprint, from the page-order fingerprints of `corpus`.
+fn fingerprint_map(corpus: &WebCorpus, fps: &[u64]) -> HashMap<String, u64> {
     corpus
         .pages()
         .iter()
-        .map(|p| (p.url.clone(), p.fingerprint()))
+        .zip(fps)
+        .map(|(p, &fp)| (p.url.clone(), fp))
         .collect()
 }
 

@@ -5,13 +5,13 @@
 //! exactly these tests.
 
 use woc_audit::{audit, AuditConfig};
-use woc_core::{build, PipelineConfig};
+use woc_core::{build, AssocKind, PipelineConfig};
 use woc_incr::{canonical_bytes, IncrEngine};
-use woc_lrec::Tick;
+use woc_lrec::{AttrValue, Provenance, Tick};
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_webgen::{
-    churn_restaurants, drift_site, generate_corpus, CorpusConfig, DriftConfig, WebCorpus, World,
-    WorldConfig,
+    churn_restaurants, drift_site, generate_corpus, CorpusConfig, DriftConfig, Node, PageKind,
+    WebCorpus, World, WorldConfig,
 };
 
 fn pipeline(threads: usize) -> PipelineConfig {
@@ -202,4 +202,170 @@ fn publish_path_bumps_epoch_only_on_change() {
         format!("{:?}", fresh.value),
         "post-publish answer must match a cold epoch-2 evaluation"
     );
+}
+
+/// Rewrite `from` to `to` in every text node under `node`; returns how
+/// many nodes changed.
+fn replace_text(node: &mut Node, from: &str, to: &str) -> usize {
+    match node {
+        Node::Text(t) if t.contains(from) => {
+            *t = t.replace(from, to);
+            1
+        }
+        Node::Text(_) => 0,
+        Node::Element { children, .. } => {
+            children.iter_mut().map(|c| replace_text(c, from, to)).sum()
+        }
+    }
+}
+
+fn assert_equivalent(engine: &IncrEngine, corpus: &WebCorpus, config: &PipelineConfig, what: &str) {
+    assert_eq!(
+        canonical_bytes(engine.web()),
+        canonical_bytes(&build(corpus, config)),
+        "maintained web must equal a from-scratch rebuild after {what}"
+    );
+    assert_clean_audit(engine.web());
+}
+
+/// The concept-partition memo end to end. Restaurant-only passes leave the
+/// product partition quiet (its pair scores must survive them unprobed);
+/// then one product page changes and only the pairs touching its record
+/// may be rescored; then a page vanishes, every later record id shifts,
+/// and nothing at all may be rescored — the stored pairs are positions and
+/// content digests, not ids. Byte identity and a clean audit after every
+/// pass.
+#[test]
+fn quiet_concepts_skip_resolution_and_survive_renumbering() {
+    let mut world = World::generate(WorldConfig::tiny(504));
+    let corpus_cfg = CorpusConfig::tiny(54);
+    let config = pipeline(0);
+    let mut corpus = generate_corpus(&world, &corpus_cfg);
+    let mut engine = IncrEngine::new(&corpus, config.clone());
+
+    // Restaurant-only passes: new opening hours, one restaurant at a time.
+    for (round, id) in world.restaurants.clone().into_iter().take(3).enumerate() {
+        let tick = Tick(10 + round as u64);
+        world
+            .store
+            .update(id, tick, |r| {
+                r.set(
+                    "hours",
+                    AttrValue::Text(format!("{}am - {}pm", 5 + round, 10 + round)),
+                    Provenance::ground_truth(tick),
+                );
+            })
+            .expect("a live restaurant accepts a later-tick update");
+        corpus = generate_corpus(&world, &corpus_cfg);
+        let changes = engine.changes(&corpus);
+        assert!(
+            !changes.dirty.is_empty() && changes.added.is_empty() && changes.removed.is_empty()
+        );
+        for url in &changes.dirty {
+            let kind = &corpus.get(url).expect("dirty pages exist").truth.kind;
+            assert_ne!(
+                *kind,
+                PageKind::ProductPage,
+                "{url} is not a restaurant page"
+            );
+        }
+        let report = engine.maintain(&corpus).expect("maintain must succeed");
+        assert!(
+            report.pairs_rescored > 0,
+            "the restaurant partition changed"
+        );
+        assert_equivalent(&engine, &corpus, &config, "a restaurant-only pass");
+    }
+
+    // A hand edit confined to one product page: its price. A control engine
+    // built cold on the crawl before the edit says what the edit costs when
+    // every pair score is fresh in the memo — the pairs touching the edited
+    // record — and, by then editing every other product page, that the
+    // product partition has pairs beyond those.
+    let product_pages: Vec<usize> = {
+        let woc = engine.web();
+        let sells_a_product = |url: &str| {
+            woc.web.records_of(url).iter().any(|(id, kind)| {
+                *kind == AssocKind::ExtractedFrom
+                    && woc
+                        .store
+                        .resolve(*id)
+                        .and_then(|canon| woc.store.latest(canon))
+                        .is_some_and(|r| r.concept() == woc.concepts.product)
+            })
+        };
+        (0..corpus.len())
+            .filter(|&i| {
+                let page = &corpus.pages()[i];
+                page.truth.kind == PageKind::ProductPage && sells_a_product(&page.url)
+            })
+            .collect()
+    };
+    let reprice = |corpus: &mut WebCorpus, i: usize| {
+        let mut page = corpus.pages()[i].clone();
+        let price = page
+            .truth
+            .records
+            .iter()
+            .flat_map(|r| &r.fields)
+            .find(|(key, _)| key == "price")
+            .map(|(_, shown)| shown.clone())
+            .expect("a product page shows its offer's price");
+        assert!(replace_text(&mut page.dom, &price, "$19.99") > 0);
+        corpus.add(page);
+    };
+    let mut control = IncrEngine::new(&corpus, config.clone());
+    reprice(&mut corpus, product_pages[0]);
+    let touching = control
+        .maintain(&corpus)
+        .expect("maintain must succeed")
+        .pairs_rescored;
+    assert!(touching > 0, "the edited product has candidate matches");
+    let report = engine.maintain(&corpus).expect("maintain must succeed");
+    assert_eq!(report.pages_dirty, 1);
+    assert_eq!(
+        report.pairs_rescored, touching,
+        "after quiet passes a changed concept rescores the pairs touching \
+         the edited record, not its whole partition"
+    );
+    assert_equivalent(&engine, &corpus, &config, "a product-only pass");
+    let mut all_repriced = corpus.clone();
+    for &i in &product_pages[1..] {
+        reprice(&mut all_repriced, i);
+    }
+    let beyond = control
+        .maintain(&all_repriced)
+        .expect("maintain must succeed")
+        .pairs_rescored;
+    assert!(
+        beyond > 0,
+        "the product partition is larger than {touching} pairs"
+    );
+
+    // A removed page that renumbers ids: every record extracted after it
+    // gets a smaller id than it had.
+    let product_id = |engine: &IncrEngine| {
+        let woc = engine.web();
+        let last = woc.records_of(woc.concepts.product);
+        last.last().expect("products resolved").id()
+    };
+    let id_before = product_id(&engine);
+    let gone = corpus
+        .pages()
+        .iter()
+        .find(|p| p.truth.kind == PageKind::AggregatorBiz)
+        .expect("the tiny world has aggregator pages")
+        .url
+        .clone();
+    corpus.remove(&gone);
+    let report = engine.maintain(&corpus).expect("maintain must succeed");
+    assert!(
+        product_id(&engine) < id_before,
+        "removing {gone} must shift later ids"
+    );
+    assert_eq!(
+        report.pairs_rescored, 0,
+        "no record changed content: stored pairs are positions and digests, not ids"
+    );
+    assert_equivalent(&engine, &corpus, &config, "a removal that renumbers ids");
 }

@@ -139,6 +139,90 @@ fn failed_publishing_pass_degrades_the_server_until_the_next_success() {
     assert_eq!((h.failed_maintains, h.consecutive_failures), (3, 0));
 }
 
+/// One epoch object: the engine and the serving tier read the same
+/// allocation, and a failed pass leaves both on the one they had.
+#[test]
+fn engine_and_server_share_one_web_per_epoch() {
+    let (v1, v2) = epochs();
+    let mut engine = IncrEngine::new(&v1, PipelineConfig::default());
+    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+    engine
+        .maintain_and_publish(&v2, &server)
+        .expect("clean pass publishes");
+    assert!(
+        std::ptr::eq(engine.web(), &*server.snapshot().woc),
+        "the published web is the engine's own, not a copy"
+    );
+
+    // A rejected pass and a panicking one: engine and server both stay on
+    // the pre-pass allocation, content untouched.
+    let good: *const woc_core::WebOfConcepts = engine.web();
+    let before = canonical_bytes(engine.web());
+    for hook in [
+        Box::new(|_: &woc_incr::ChangeSet| Err("crawl gate closed".to_string()))
+            as woc_incr::FaultHook,
+        Box::new(|_: &woc_incr::ChangeSet| panic!("injected rebuild panic")),
+    ] {
+        engine.set_fault_hook(hook);
+        engine
+            .maintain_and_publish(&v1, &server)
+            .expect_err("the pass must abort");
+        assert!(std::ptr::eq(engine.web(), good));
+        assert!(std::ptr::eq(&*server.snapshot().woc, good));
+        assert_eq!(canonical_bytes(engine.web()), before);
+    }
+    engine.clear_fault_hook();
+
+    // Moving on releases nothing a reader holds: the engine's next epoch is
+    // a new allocation, the server follows it.
+    engine
+        .maintain_and_publish(&v1, &server)
+        .expect("recovery pass publishes");
+    assert!(!std::ptr::eq(engine.web(), good));
+    assert!(std::ptr::eq(engine.web(), &*server.snapshot().woc));
+}
+
+/// A reader that pinned epoch *n* keeps rendering epoch *n*, byte for
+/// byte, however many epochs the engine and the server move on.
+#[test]
+fn pinned_reader_keeps_its_epoch_across_later_publishes() {
+    let (v1, v2) = epochs();
+    let mut engine = IncrEngine::new(&v1, PipelineConfig::default());
+    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+    engine
+        .maintain_and_publish(&v2, &server)
+        .expect("epoch 2 publishes");
+    let pinned = server.snapshot();
+    let bytes = canonical_bytes(&pinned.woc);
+    assert_eq!(pinned.epoch, 2);
+
+    for (corpus, epoch) in [(&v1, 3), (&v2, 4)] {
+        let (_, served) = engine
+            .maintain_and_publish(corpus, &server)
+            .expect("later epochs publish");
+        assert_eq!(served, epoch);
+    }
+    assert_eq!(pinned.epoch, 2);
+    assert_eq!(canonical_bytes(&pinned.woc), bytes);
+    // Epoch 4 was maintained from the same crawl as the pinned one: equal
+    // bytes, a different object.
+    assert_eq!(canonical_bytes(engine.web()), bytes);
+    assert!(!std::ptr::eq(engine.web(), &*pinned.woc));
+}
+
+/// A pass fingerprints each page once: the sweep change detection diffs is
+/// the one the replay keys its memos on.
+#[test]
+fn each_pass_fingerprints_each_page_once() {
+    let (v1, v2) = epochs();
+    let mut engine = IncrEngine::new(&v1, PipelineConfig::default());
+    for corpus in [&v2, &v1, &v2] {
+        let report = engine.maintain(corpus).expect("clean pass succeeds");
+        assert!(!report.short_circuited);
+        assert_eq!(report.pages_fingerprinted, corpus.len());
+    }
+}
+
 #[test]
 fn short_circuit_does_not_consult_the_hook() {
     let (v1, _) = epochs();

@@ -13,7 +13,13 @@
 //!   through the one publish door
 //!   ([`ConceptServer::publish_delta_segmented`]); in-flight readers of the
 //!   old epoch drain gracefully — the old snapshot is freed when its last
-//!   reader drops its `Arc`.
+//!   reader drops its `Arc`. The web inside a snapshot is itself shared
+//!   ([`Snapshot::woc`] is an `Arc`): the maintenance engine publishes the
+//!   very allocation it maintains from, so an epoch exists once however
+//!   many tiers read it. The publish order is swap → unlock → hooks → drop:
+//!   the retired snapshot leaves the lock alive and is released only after
+//!   the publish hooks ran, so no reader ever waits out the deep free of a
+//!   whole web.
 //! * **Segmented search path** — every snapshot carries a
 //!   [`SegmentedLrecIndex`]: a frozen base segment with pinned corpus-global
 //!   BM25 statistics plus delta segments, scored with block-max pruned
@@ -248,8 +254,11 @@ pub struct Health {
 pub struct Snapshot {
     /// Monotonically increasing publish generation (first publish = 1).
     pub epoch: u64,
-    /// The web this snapshot serves.
-    pub woc: WebOfConcepts,
+    /// The web this snapshot serves — the publisher's own allocation, shared
+    /// rather than copied: the maintenance engine keeps reading the same
+    /// web it published, and it is freed when the last of engine, snapshot
+    /// and pinned readers lets go.
+    pub woc: Arc<WebOfConcepts>,
     /// The segmented record index the search endpoint evaluates against.
     /// Shared across epochs wherever possible: a delta publish ships the
     /// same base-segment `Arc` plus small new delta segments, and a
@@ -336,8 +345,10 @@ pub struct ConceptServer {
 }
 
 impl ConceptServer {
-    /// Publish `woc` as epoch 1 and start serving.
-    pub fn new(woc: WebOfConcepts, config: ServeConfig) -> Self {
+    /// Publish `woc` as epoch 1 and start serving. A web passed by value
+    /// is moved behind a fresh `Arc`; an `Arc` is shared as it is.
+    pub fn new(woc: impl Into<Arc<WebOfConcepts>>, config: ServeConfig) -> Self {
+        let woc = woc.into();
         Self {
             snapshot: RwLock::new(Arc::new(Snapshot {
                 epoch: 1,
@@ -406,9 +417,17 @@ impl ConceptServer {
     /// segmented index's live entries are exactly the web's live records
     /// (`segments.flatten()` digest-equal to `woc.record_index`) — the W014
     /// audit checks it.
+    ///
+    /// `woc` is shared, not copied (an `Arc` as it is, a web by value behind
+    /// a fresh one). The order is swap → unlock → hooks → drop: the retired
+    /// snapshot is taken out of the lock alive, the write lock released,
+    /// the hooks run, and only then is it let go — so when this was its
+    /// last reference, the deep free of a whole web happens on the
+    /// publishing thread with no reader excluded, and a hook can still
+    /// reach the epoch it replaces.
     pub fn publish_delta_segmented(
         &self,
-        woc: WebOfConcepts,
+        woc: impl Into<Arc<WebOfConcepts>>,
         delta: &SegmentDelta,
         segments: Arc<SegmentedLrecIndex>,
     ) -> u64 {
@@ -420,6 +439,7 @@ impl ConceptServer {
             delta.changed_terms.iter().map(String::as_str).collect();
         let records: std::collections::HashSet<LrecId> =
             delta.changed_records.iter().copied().collect();
+        let woc = woc.into();
         let mut guard = self.snapshot.write();
         let epoch = guard.epoch + 1;
         // woc-lint: allow(lock-across-io) — settle-before-swap by design (the
@@ -439,17 +459,18 @@ impl ConceptServer {
                 })
             });
         }
-        *guard = Arc::new(Snapshot {
+        let installed = Arc::new(Snapshot {
             epoch,
             woc,
             segments,
         });
-        let installed = Arc::clone(&guard);
+        let retired = std::mem::replace(&mut *guard, Arc::clone(&installed));
         drop(guard);
         *self.published_at.write() = Instant::now();
         for hook in self.hooks.0.read().iter() {
             hook(&installed);
         }
+        drop(retired);
         epoch
     }
 
@@ -947,6 +968,31 @@ mod tests {
         publish(&server, tiny_woc(901, 91), &SegmentDelta::default());
         publish_cold(&server, tiny_woc(903, 93));
         assert_eq!(*seen.read(), vec![2, 3]);
+    }
+
+    /// Publish order is swap → unlock → hooks → drop. With no reader
+    /// pinning it, the server's reference to the outgoing snapshot is the
+    /// last one; dropping it in place (`*guard = …`) would free a whole web
+    /// while the write lock still excludes every reader.
+    #[test]
+    fn retired_snapshot_outlives_the_lock_and_the_hooks() {
+        let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
+        let retired = Arc::downgrade(&server.snapshot());
+        let seen: Arc<RwLock<Vec<Option<u64>>>> = Arc::new(RwLock::new(Vec::new()));
+        let (weak, sink) = (retired.clone(), Arc::clone(&seen));
+        server.on_publish(Box::new(move |_| {
+            sink.write().push(weak.upgrade().map(|snap| snap.epoch));
+        }));
+        publish_cold(&server, tiny_woc(902, 92));
+        assert_eq!(
+            *seen.read(),
+            vec![Some(1)],
+            "the hook runs after the unlock and must still reach the epoch it replaces"
+        );
+        assert!(
+            retired.upgrade().is_none(),
+            "…which is freed once the hooks have run"
+        );
     }
 
     #[test]

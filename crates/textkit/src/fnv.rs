@@ -83,6 +83,17 @@ impl Default for Fnv1a {
     }
 }
 
+/// Formatted output hashes as the bytes it renders to, so
+/// `write!(h, "{x:?}")` equals `h.str(&format!("{x:?}"))` without the
+/// intermediate `String`.
+impl std::fmt::Write for Fnv1a {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.str(s);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +112,14 @@ mod tests {
         let mut bytewise = Fnv1a::new();
         bytewise.bytes(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(h.finish(), bytewise.finish());
+    }
+
+    #[test]
+    fn formatted_output_hashes_as_its_rendered_bytes() {
+        use std::fmt::Write;
+        let value = vec![Some(("caf\u{e9} \"x\"", -4.5f64)), None];
+        let mut streamed = Fnv1a::new();
+        write!(streamed, "{value:?}").expect("hashing never fails");
+        assert_eq!(streamed.finish(), Fnv1a::of(&format!("{value:?}")));
     }
 }
