@@ -17,6 +17,42 @@
 //! Entries untouched by a pass are evicted at its end (generation
 //! tagging), so memory tracks the live corpus rather than its history.
 //!
+//! ## What consecutive epochs share
+//!
+//! A replay builds the next web beside the current one, and on a long-tail
+//! web almost none of it differs. Records, versions and posting lists are
+//! copy-on-write behind `Arc`s (`woc_lrec::record`, `woc_lrec::store`,
+//! `woc_index::index` — a mutation may only reach a shared list through
+//! `Arc::make_mut`), and two caches here hand the next epoch the previous
+//! one's allocations instead of equal copies:
+//!
+//! * **the typed-record memo** (`BuildCaches::memo_typed`, pipeline
+//!   stage B) — key `(page fingerprint, first record id)`, value the page's
+//!   `TypedRecord`s: the `Arc<Lrec>` the store holds as the record's
+//!   first version (id included), the operator that extracted it, the
+//!   trust claims it contributes, and its `content_digest`, taken once.
+//!   A fingerprint suffices because [`Page::fingerprint`] covers URL, site,
+//!   title and DOM — everything typing reads besides the engine-constant
+//!   tick and trust configuration — and the first id pins every id the
+//!   records carry. A hit re-inserts the stored allocations
+//!   (`Store::insert_shared`); lineage, associations and claims replay
+//!   live, in the same order. *A removed page* shifts every later id, so
+//!   every page after it misses and is typed again — the cost of a full
+//!   stage B, with correct ids — while the digest-keyed memos below still
+//!   hit. Stage C reads the carried digests instead of rendering every
+//!   record again.
+//! * **the index caches** (stage G) — `BuildCaches::record_index_with`
+//!   remembers the `Arc<Lrec>` each cached token list came from and
+//!   re-tokenizes only records whose latest version is neither that
+//!   allocation nor equal to it; both cached indexes are patched in place
+//!   and handed out as copy-on-write clones, so an epoch's index shares
+//!   every untouched term with its neighbours.
+//!
+//! Records a pass re-derives — merged, reconciled and linked versions —
+//! are new allocations each epoch; they share their untouched attribute
+//! lists with the versions they were cloned from. Lineage and the
+//! record↔document graph are rebuilt each pass and not shared.
+//!
 //! ## The concept-partition memo
 //!
 //! Entity resolution (pipeline stage C) runs per concept, and on a long-tail
@@ -50,18 +86,19 @@
 // enumerate() over the very slice being indexed (hit/miss bookkeeping), so
 // bounds hold locally by construction.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
 use woc_extract::ExtractedRecord;
 use woc_index::{DocId, InvertedIndex, LrecIndex};
-use woc_lrec::{ConceptId, Lrec, LrecId};
+use woc_lrec::{ConceptId, Lrec, LrecId, Store};
 use woc_textkit::tokenize::tokenize_words;
 use woc_textkit::Fnv1a;
 use woc_webgen::{Page, WebCorpus};
 
 use crate::parallel::{resolve_threads, shard_map};
+use crate::trust::Claim;
 
 /// Id-free content digest of a record: its concept plus every attribute's
 /// entries (values and provenance), excluding the record id itself. Keyed
@@ -133,51 +170,38 @@ pub struct RecordIndexChange {
     pub new_tokens: Option<Vec<String>>,
 }
 
-/// Diff two record-index entry sequences by record id, in ascending-id
-/// order: removals (`old` only), insertions (`new` only), and records
-/// whose concept or token list changed.
-fn diff_record_entries(
-    old: &[(LrecId, ConceptId, Vec<String>)],
-    new: &[(LrecId, ConceptId, Vec<String>)],
-) -> Vec<RecordIndexChange> {
-    let old_by_id: BTreeMap<LrecId, (&ConceptId, &Vec<String>)> =
-        old.iter().map(|(id, c, t)| (*id, (c, t))).collect();
-    let new_by_id: BTreeMap<LrecId, (&ConceptId, &Vec<String>)> =
-        new.iter().map(|(id, c, t)| (*id, (c, t))).collect();
-    let mut changes = Vec::new();
-    for (id, (concept, tokens)) in &old_by_id {
-        if !new_by_id.contains_key(id) {
-            changes.push(RecordIndexChange {
-                id: *id,
-                concept: **concept,
-                old_tokens: Some((*tokens).clone()),
-                new_tokens: None,
-            });
-        }
-    }
-    for (id, (concept, tokens)) in &new_by_id {
-        match old_by_id.get(id) {
-            None => changes.push(RecordIndexChange {
-                id: *id,
-                concept: **concept,
-                old_tokens: None,
-                new_tokens: Some((*tokens).clone()),
-            }),
-            Some((old_concept, old_tokens)) => {
-                if old_concept != concept || old_tokens != tokens {
-                    changes.push(RecordIndexChange {
-                        id: *id,
-                        concept: **concept,
-                        old_tokens: Some((*old_tokens).clone()),
-                        new_tokens: Some((*tokens).clone()),
-                    });
-                }
-            }
-        }
-    }
-    changes.sort_by_key(|c| c.id);
-    changes
+/// One record as pipeline stage B types it from a page: everything the
+/// stage derives from the page alone, so a page whose fingerprint and first
+/// record id are unchanged replays it without re-typing a field.
+#[derive(Debug)]
+pub(crate) struct TypedRecord {
+    /// The record as the store holds its first version, id included — the
+    /// same allocation in every epoch that types the page to the same ids.
+    pub rec: Arc<Lrec>,
+    /// The extraction operator that produced it.
+    pub op: &'static str,
+    /// The trust claims the record contributes, in field order.
+    pub claims: Vec<Claim>,
+    /// [`content_digest`] of `rec`, taken once when it was typed.
+    pub digest: u64,
 }
+
+impl TypedRecord {
+    /// Wrap a freshly typed record, taking its content digest.
+    pub(crate) fn new(rec: Lrec, op: &'static str, claims: Vec<Claim>) -> Self {
+        let digest = content_digest(&rec);
+        Self {
+            rec: Arc::new(rec),
+            op,
+            claims,
+            digest,
+        }
+    }
+}
+
+/// The typed records of one page, in extraction order. Shared, not
+/// re-cloned, on hits.
+pub(crate) type TypedPage = Arc<Vec<TypedRecord>>;
 
 /// Counters describing what one maintenance pass recomputed vs reused.
 /// Reset at the start of each [`crate::pipeline::build_with_caches`] call.
@@ -191,6 +215,10 @@ pub struct CacheStats {
     pub pages_reextracted: usize,
     /// Pages whose extraction came from the cache.
     pub extract_hits: usize,
+    /// Records typed afresh in stage B: the records of every page that
+    /// missed the typed-record memo (changed content, or a first record id
+    /// shifted by an earlier page). A hit re-inserts the stored records.
+    pub records_retyped: usize,
     /// Candidate pairs whose match score was recomputed.
     pub pairs_rescored: usize,
     /// Pairs whose score came from the memo.
@@ -203,6 +231,10 @@ pub struct CacheStats {
     pub postings_patched: usize,
     /// Records whose index tokens changed and were patched in place.
     pub records_repatched: usize,
+    /// Live records whose index tokens stage G recomputed: every record
+    /// that is neither the allocation nor the value its cached tokens came
+    /// from. The rest reuse their token lists.
+    pub record_tokens_recomputed: usize,
     /// True when the record index could not be patched (record set or
     /// order changed) and was rebuilt from token lists.
     pub record_index_rebuilt: bool,
@@ -290,9 +322,10 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone + Send> Memo<K, V> {
 #[derive(Debug)]
 struct RecordIndexCache {
     index: LrecIndex,
-    /// `(id, concept, tokens)` in internal doc-id order — the exact
-    /// sequence the cached index was built from.
-    entries: Vec<(LrecId, ConceptId, Vec<String>)>,
+    /// The live records the cached index was built from, each with the
+    /// token list it is indexed under, in internal doc-id (ascending id)
+    /// order.
+    entries: Vec<(Arc<Lrec>, Vec<String>)>,
 }
 
 #[derive(Debug)]
@@ -314,6 +347,8 @@ pub struct BuildCaches {
     generation: u64,
     /// page fingerprint → extraction output (shared, not re-cloned, on hits).
     extract: Memo<u64, Arc<Vec<ExtractedRecord>>>,
+    /// (page fingerprint, first record id) → the page's typed records.
+    typed: Memo<(u64, LrecId), TypedPage>,
     /// (concept, left content digest, right content digest) → match score.
     scores: Memo<(u32, u64, u64), f64>,
     /// (concept, record-sequence digest) → the concept's scored candidate
@@ -374,6 +409,7 @@ impl BuildCaches {
     /// concept will.
     pub(crate) fn end_pass(&mut self) {
         self.extract.evict(self.generation);
+        self.typed.evict(self.generation);
         let (generation, quiet) = (self.generation, &self.quiet_concepts);
         self.scores
             .table
@@ -411,6 +447,26 @@ impl BuildCaches {
         self.stats.pages_reextracted += misses;
         self.stats.extract_hits += fps.len() - misses;
         out
+    }
+
+    /// Memoized stage B typing of one page: the typed records stored for
+    /// `(fp, first_id)` — the page's fingerprint and the id its first
+    /// record takes — or, on a miss, what `type_page` makes of it. See the
+    /// module docs for why that key suffices.
+    pub(crate) fn memo_typed(
+        &mut self,
+        fp: u64,
+        first_id: LrecId,
+        type_page: impl FnOnce() -> Vec<TypedRecord>,
+    ) -> TypedPage {
+        let key = (fp, first_id);
+        if let Some(typed) = self.typed.get(self.generation, &key) {
+            return typed;
+        }
+        let typed = Arc::new(type_page());
+        self.stats.records_retyped += typed.len();
+        self.typed.put(self.generation, key, Arc::clone(&typed));
+        typed
     }
 
     /// Memoized "also bought" anchor scan: the normalized anchor names in a
@@ -509,51 +565,98 @@ impl BuildCaches {
         out
     }
 
-    /// Build — or patch — the record index for the live-record sequence
-    /// `entries` (in the order a fresh build would add them). Patching
-    /// requires the `(id, concept)` sequence to be unchanged: a record
-    /// insertion or removal renumbers every later internal doc id, in
-    /// which case the index is rebuilt from the token lists.
-    pub(crate) fn record_index_with(
-        &mut self,
-        entries: Vec<(LrecId, ConceptId, Vec<String>)>,
-    ) -> LrecIndex {
-        if let Some(cache) = self.record_index.as_mut() {
-            let same_sequence = cache.entries.len() == entries.len()
-                && cache
-                    .entries
-                    .iter()
-                    .zip(&entries)
-                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1);
-            if same_sequence {
-                for (old, new) in cache.entries.iter().zip(&entries) {
-                    if old.2 != new.2 {
-                        self.stats.postings_patched += cache.index.replace(new.0, &old.2, &new.2);
-                        self.stats.records_repatched += 1;
-                        self.stats.record_changes.push(RecordIndexChange {
-                            id: new.0,
-                            concept: new.1,
-                            old_tokens: Some(old.2.clone()),
-                            new_tokens: Some(new.2.clone()),
+    /// Build — or patch — the record index over `store`'s live records, in
+    /// the ascending-id order a fresh build adds them. One walk over the
+    /// cached and the live sequence decides everything: a record that is
+    /// the allocation its cached tokens came from (or equal to it) keeps
+    /// them; any other is re-tokenized and, when its tokens or concept
+    /// moved, listed as a [`RecordIndexChange`]. Patching requires the
+    /// `(id, concept)` sequence to be unchanged: a record insertion or
+    /// removal renumbers every later internal doc id, in which case the
+    /// index is rebuilt from the token lists.
+    pub(crate) fn record_index_with(&mut self, store: &Store) -> LrecIndex {
+        let warm = self.record_index.is_some();
+        let mut cached = self
+            .record_index
+            .as_mut()
+            .map(|c| std::mem::take(&mut c.entries))
+            .unwrap_or_default()
+            .into_iter()
+            .peekable();
+        let mut entries: Vec<(Arc<Lrec>, Vec<String>)> = Vec::new();
+        let mut changes: Vec<RecordIndexChange> = Vec::new();
+        let mut same_sequence = warm;
+        let removal = |(rec, tokens): (Arc<Lrec>, Vec<String>)| RecordIndexChange {
+            id: rec.id(),
+            concept: rec.concept(),
+            old_tokens: Some(tokens),
+            new_tokens: None,
+        };
+        for id in store.live_ids() {
+            let rec = store
+                .latest_shared(id)
+                .expect("invariant: live_ids() yields ids with a latest version");
+            // Both sequences ascend by id: cached records below `id` are
+            // no longer live.
+            while let Some(gone) = cached.next_if(|(old, _)| old.id() < id) {
+                same_sequence = false;
+                changes.push(removal(gone));
+            }
+            let tokens = match cached.next_if(|(old, _)| old.id() == id) {
+                Some((old, tokens)) if Arc::ptr_eq(&old, rec) || *old == **rec => tokens,
+                old => {
+                    self.stats.record_tokens_recomputed += 1;
+                    let tokens = LrecIndex::record_tokens(rec);
+                    let same_concept = old
+                        .as_ref()
+                        .is_some_and(|(old, _)| old.concept() == rec.concept());
+                    same_sequence &= same_concept;
+                    let old_tokens = old.map(|(_, tokens)| tokens);
+                    let moved = !same_concept || old_tokens.as_ref() != Some(&tokens);
+                    // A cold build has no previous pass to diff against.
+                    if warm && moved {
+                        changes.push(RecordIndexChange {
+                            id,
+                            concept: rec.concept(),
+                            old_tokens,
+                            new_tokens: Some(tokens.clone()),
                         });
                     }
+                    tokens
+                }
+            };
+            entries.push((Arc::clone(rec), tokens));
+        }
+        for gone in cached {
+            same_sequence = false;
+            changes.push(removal(gone));
+        }
+        let index = match self.record_index.as_mut() {
+            Some(cache) if same_sequence => {
+                for c in &changes {
+                    let (Some(old), Some(new)) = (&c.old_tokens, &c.new_tokens) else {
+                        unreachable!("an unchanged record sequence only changes tokens")
+                    };
+                    self.stats.postings_patched += cache.index.replace(c.id, old, new);
+                    self.stats.records_repatched += 1;
                 }
                 cache.entries = entries;
-                return cache.index.clone();
+                cache.index.clone()
             }
-        }
-        if let Some(cache) = self.record_index.as_ref() {
-            self.stats.record_changes = diff_record_entries(&cache.entries, &entries);
-        }
-        self.stats.record_index_rebuilt = true;
-        let mut index = LrecIndex::new();
-        for (id, concept, tokens) in &entries {
-            index.add_record_tokens(*id, *concept, tokens);
-        }
-        self.record_index = Some(RecordIndexCache {
-            index: index.clone(),
-            entries,
-        });
+            _ => {
+                self.stats.record_index_rebuilt = true;
+                let mut index = LrecIndex::new();
+                for (rec, tokens) in &entries {
+                    index.add_record_tokens(rec.id(), rec.concept(), tokens);
+                }
+                self.record_index = Some(RecordIndexCache {
+                    index: index.clone(),
+                    entries,
+                });
+                index
+            }
+        };
+        self.stats.record_changes = changes;
         index
     }
 
@@ -794,6 +897,158 @@ mod tests {
             c.partitions.table.len(),
             1,
             "one live partition per concept"
+        );
+    }
+
+    fn typed(id: u64, name: &str) -> TypedRecord {
+        use woc_lrec::{Provenance, Tick};
+        let mut rec = Lrec::new(LrecId(id), ConceptId(1));
+        rec.add(
+            "name",
+            name.into(),
+            Provenance::extracted("http://site.test/", "list-extractor", 0.6, Tick(1)),
+        );
+        TypedRecord::new(rec, "list-extractor", Vec::new())
+    }
+
+    #[test]
+    fn typed_memo_hits_return_the_stored_records_verbatim() {
+        let mut c = BuildCaches::new();
+        c.begin_pass();
+        let first = c.memo_typed(7, LrecId(4), || vec![typed(4, "a"), typed(5, "b")]);
+        assert_eq!(c.stats().records_retyped, 2);
+        c.end_pass();
+
+        c.begin_pass();
+        let again = c.memo_typed(7, LrecId(4), || panic!("a hit must not type"));
+        assert!(Arc::ptr_eq(&first, &again), "the stored page, verbatim");
+        assert!(Arc::ptr_eq(&first[0].rec, &again[0].rec));
+        assert_eq!(c.stats().records_retyped, 0);
+        // The same content one id later — an earlier page lost a record —
+        // and changed content under the same first id both miss.
+        let shifted = c.memo_typed(7, LrecId(3), || vec![typed(3, "a"), typed(4, "b")]);
+        assert_eq!(shifted[0].rec.id(), LrecId(3));
+        let edited = c.memo_typed(8, LrecId(4), || vec![typed(4, "c")]);
+        assert_eq!(edited[0].rec.best_text("name"), Some("c"));
+        assert_eq!(c.stats().records_retyped, 3);
+        c.end_pass();
+        assert_eq!(c.typed.table.len(), 3);
+
+        // A pass that reads one entry evicts the other two.
+        c.begin_pass();
+        c.memo_typed(8, LrecId(4), || panic!("still stored"));
+        c.end_pass();
+        assert_eq!(c.typed.table.len(), 1);
+        assert!(c.typed.table.contains_key(&(8, LrecId(4))));
+    }
+
+    /// Stage C reads the digest stage B carried instead of rendering the
+    /// record again: the two must be the same number for every record a
+    /// real build types, so `content_digest_values_are_pinned` pins both.
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a whole corpus")]
+    fn carried_digests_equal_content_digests() {
+        use woc_webgen::{generate_corpus, CorpusConfig, World, WorldConfig};
+        let world = World::generate(WorldConfig::tiny(206));
+        let corpus = generate_corpus(&world, &CorpusConfig::tiny(16));
+        let cfg = crate::PipelineConfig::default();
+        let mut c = BuildCaches::new();
+        let fps = c.fingerprint_pages(&corpus, cfg.threads);
+        let woc = crate::build_with_caches(&corpus, &cfg, Some((&mut c, &fps)));
+        let records: Vec<&TypedRecord> = c
+            .typed
+            .table
+            .values()
+            .flat_map(|e| e.value.iter())
+            .collect();
+        assert_eq!(records.len(), woc.store.total_created());
+        assert_eq!(c.stats().records_retyped, records.len());
+        for t in records {
+            assert_eq!(t.digest, content_digest(&t.rec), "record {}", t.rec.id());
+        }
+    }
+
+    #[test]
+    fn record_index_retokenizes_only_records_that_moved() {
+        use woc_lrec::{Provenance, Tick};
+        let concept = ConceptId(1);
+        let prov = || Provenance::ground_truth(Tick(0));
+        let mut store = Store::new();
+        for name in ["Gochi Fusion Tapas", "El Farolito", "Casa Cantina"] {
+            store.insert(concept, Tick(0), |r| r.add("name", name.into(), prov()));
+        }
+        let fresh = |store: &Store| crate::pipeline::flat_record_index(store).digest();
+        let mut c = BuildCaches::new();
+
+        c.begin_pass();
+        assert_eq!(c.record_index_with(&store).digest(), fresh(&store));
+        let s = c.stats();
+        assert!(s.record_index_rebuilt && s.record_changes.is_empty());
+        assert_eq!(
+            s.record_tokens_recomputed, 3,
+            "a cold pass tokenizes everything"
+        );
+
+        // The same allocations, and an equal store built apart from them:
+        // nothing to tokenize, nothing changed.
+        let mut apart = Store::new();
+        for name in ["Gochi Fusion Tapas", "El Farolito", "Casa Cantina"] {
+            apart.insert(concept, Tick(0), |r| r.add("name", name.into(), prov()));
+        }
+        for same in [&store, &apart] {
+            c.begin_pass();
+            assert_eq!(c.record_index_with(same).digest(), fresh(&store));
+            let s = c.stats();
+            assert_eq!((s.record_tokens_recomputed, s.records_repatched), (0, 0));
+            assert!(!s.record_index_rebuilt && s.record_changes.is_empty());
+        }
+
+        // One record renamed, one re-stamped: both are tokenized again, only
+        // the rename changes the index, and it is patched in place.
+        store
+            .update(LrecId(1), Tick(1), |r| {
+                r.set("name", "El Farolito Nuevo".into(), prov())
+            })
+            .unwrap();
+        store
+            .update(LrecId(2), Tick(1), |r| {
+                r.set(
+                    "name",
+                    "Casa Cantina".into(),
+                    Provenance::ground_truth(Tick(1)),
+                )
+            })
+            .unwrap();
+        c.begin_pass();
+        assert_eq!(c.record_index_with(&store).digest(), fresh(&store));
+        let s = c.stats();
+        assert_eq!((s.record_tokens_recomputed, s.records_repatched), (2, 1));
+        assert!(!s.record_index_rebuilt && s.postings_patched > 0);
+        assert_eq!(s.record_changes.len(), 1);
+        let change = &s.record_changes[0];
+        assert_eq!((change.id, change.concept), (LrecId(1), concept));
+        assert_eq!(change.old_tokens.as_ref().map(Vec::len), Some(4));
+        assert_eq!(change.new_tokens.as_ref().map(Vec::len), Some(6));
+
+        // A retraction and an insertion change the sequence: the index is
+        // rebuilt, and the diff lists the removal and the arrival by id.
+        store.retract(LrecId(0)).unwrap();
+        store.insert(concept, Tick(2), |r| {
+            r.add("name", "Udon House".into(), prov())
+        });
+        c.begin_pass();
+        assert_eq!(c.record_index_with(&store).digest(), fresh(&store));
+        let s = c.stats();
+        assert!(s.record_index_rebuilt);
+        assert_eq!(s.record_tokens_recomputed, 1);
+        let diff: Vec<(LrecId, bool, bool)> = s
+            .record_changes
+            .iter()
+            .map(|ch| (ch.id, ch.old_tokens.is_some(), ch.new_tokens.is_some()))
+            .collect();
+        assert_eq!(
+            diff,
+            vec![(LrecId(0), true, false), (LrecId(3), false, true)]
         );
     }
 

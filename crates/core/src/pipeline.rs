@@ -10,6 +10,7 @@
 //! confidence, so §7.3's uncertainty/lineage requirements hold end to end.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 use woc_extract::lists::{extract_lists, ConceptProfile};
@@ -26,7 +27,7 @@ use woc_webgen::{Page, WebCorpus};
 
 use crate::graph::{AssocKind, ConceptWeb};
 use crate::lineage::Lineage;
-use crate::memo::{self, BuildCaches};
+use crate::memo::{self, BuildCaches, TypedRecord};
 use crate::parallel::{resolve_threads, shard_map};
 use crate::report::PipelineReport;
 use crate::trust::{pool_key, Claim, Selection, TrustConfig, TrustModel};
@@ -77,8 +78,10 @@ impl Default for PipelineConfig {
 /// Immutable once built: a maintenance pass builds the next web beside it
 /// and the engine, the served snapshot and every pinned reader share one
 /// allocation behind an `Arc` — publishing an epoch clones a pointer, and
-/// the web is freed once, when its last holder lets go. `Clone` is the deep
-/// copy for callers that want a web of their own to mutate.
+/// the web is freed once, when its last holder lets go. `Clone` gives
+/// callers a web of their own to mutate: records, versions and posting
+/// lists are copy-on-write, so the copy shares them with its original until
+/// either side changes one — with the value semantics of a deep copy.
 #[derive(Debug, Clone)]
 pub struct WebOfConcepts {
     /// Concept registry.
@@ -438,6 +441,104 @@ pub fn extract_page(page: &Page, profiles: &[ConceptProfile]) -> Vec<ExtractedRe
     out
 }
 
+/// Pipeline stage B for one page: type every extracted record that names a
+/// concept into the lrec the store will hold — ids run from `first_id` —
+/// with its extraction operator and the trust claims it contributes. Reads
+/// the page, its extraction output and engine-constant configuration only,
+/// which is what lets [`BuildCaches::memo_typed`] key the result on the
+/// page fingerprint and `first_id`.
+fn type_page(
+    page: &Page,
+    recs: &[ExtractedRecord],
+    first_id: LrecId,
+    registry: &ConceptRegistry,
+    config: &PipelineConfig,
+) -> Vec<TypedRecord> {
+    let tick = config.tick;
+    let mut typed: Vec<TypedRecord> = Vec::new();
+    for rec in recs {
+        let Some(concept_name) = rec.concept.as_deref() else {
+            continue;
+        };
+        let cid = registry.id_of(concept_name).expect("standard concept");
+        let op = if rec.fields.len() > 1 && rec.confidence >= 0.75 {
+            "detail-extractor"
+        } else {
+            "list-extractor"
+        };
+        // Publication rows carry the raw citation text; refine it into
+        // title/authors with the unsupervised citation parser.
+        let mut fields: Vec<(String, String)> = rec.fields.clone();
+        if concept_name == "publication" {
+            if let Some(text) = fields
+                .iter()
+                .find(|(k, _)| k == "text")
+                .map(|(_, v)| v.clone())
+            {
+                let parsed = woc_extract::citations::parse_citation(&text);
+                fields.retain(|(k, _)| k != "text" && k != "name");
+                if let Some(t) = parsed.title {
+                    fields.push(("title".to_string(), t));
+                }
+                if let Some(a) = parsed.authors {
+                    fields.push(("author_names".to_string(), a));
+                }
+            }
+        }
+        // Each field is typed once: the claim takes a clone, the record
+        // the value itself.
+        let values: Vec<AttrValue> = fields
+            .iter()
+            .map(|(field, raw)| type_value(field, raw))
+            .collect();
+        // Fuel for the source-reliability fixpoint: every pooled-concept
+        // claim (site, entity pool, attribute, value).
+        let mut claims: Vec<Claim> = Vec::new();
+        if config.trust.enabled && config.trust.concepts.iter().any(|c| c == concept_name) {
+            let name = fields
+                .iter()
+                .find(|(k, _)| k == "name")
+                .map(|(_, v)| v.as_str())
+                .unwrap_or("");
+            let city = fields
+                .iter()
+                .find(|(k, _)| k == "city")
+                .map(|(_, v)| v.as_str())
+                .unwrap_or("");
+            // Unnamed records would all pool together; skip them.
+            if !name.is_empty() {
+                let pool = pool_key(concept_name, name, city);
+                for ((field, _), value) in fields.iter().zip(&values) {
+                    // Pool-key attributes (name, city) are tautologically
+                    // in agreement within a pool — every site "wins" them,
+                    // so they carry no reliability signal and would only
+                    // dilute the contested facts that do.
+                    if field == "name" || field == "city" {
+                        continue;
+                    }
+                    claims.push(Claim {
+                        site: page.site.clone(),
+                        pool: pool.clone(),
+                        attr: field.clone(),
+                        value: value.clone(),
+                        confidence: rec.confidence,
+                    });
+                }
+            }
+        }
+        let mut lrec = Lrec::new(LrecId(first_id.0 + typed.len() as u64), cid);
+        for ((field, _), value) in fields.iter().zip(values) {
+            lrec.add(
+                field,
+                value,
+                Provenance::extracted(&page.url, op, rec.confidence, tick),
+            );
+        }
+        typed.push(TypedRecord::new(lrec, op, claims));
+    }
+    typed
+}
+
 /// Build the web of concepts from a corpus.
 ///
 /// The heavy stages (extraction, candidate generation, pair scoring, the
@@ -505,7 +606,6 @@ pub fn build_with_caches(
     report.stage_done("extract", pages.len(), &mut t0);
 
     // --- Stage B: typed record creation with lineage --------------------
-    let concept_id = |name: &str| registry.id_of(name).expect("standard concept");
     let mut created: Vec<LrecId> = Vec::new();
     // Fuel for the source-reliability fixpoint: every pooled-concept claim
     // (site, entity pool, attribute, value), taken PRE-merge — absorbing a
@@ -514,92 +614,34 @@ pub fn build_with_caches(
     // Which site asserted each record, so a distrusted site's records can
     // be scrubbed before entity resolution sees them.
     let mut record_sites: Vec<(LrecId, String)> = Vec::new();
-    for (page, recs) in pages.iter().zip(&extracted) {
+    // `content_digest` of every created record, by id: the store starts
+    // empty, so stage B's ids are 0, 1, 2, … in creation order.
+    let mut record_digests: Vec<u64> = Vec::new();
+    for (i, (page, recs)) in pages.iter().zip(&extracted).enumerate() {
         if recs.is_empty() {
             continue;
         }
         let doc_node = lineage.document(&page.url);
-        for rec in recs.iter() {
-            let Some(concept_name) = rec.concept.as_deref() else {
-                continue;
-            };
-            let cid = concept_id(concept_name);
-            let op = if rec.fields.len() > 1 && rec.confidence >= 0.75 {
-                "detail-extractor"
-            } else {
-                "list-extractor"
-            };
-            let op_node = lineage.operator(op, vec![doc_node]);
-            // Publication rows carry the raw citation text; refine it into
-            // title/authors with the unsupervised citation parser.
-            let mut fields: Vec<(String, String)> = rec.fields.clone();
-            if concept_name == "publication" {
-                if let Some(text) = fields
-                    .iter()
-                    .find(|(k, _)| k == "text")
-                    .map(|(_, v)| v.clone())
-                {
-                    let parsed = woc_extract::citations::parse_citation(&text);
-                    fields.retain(|(k, _)| k != "text" && k != "name");
-                    if let Some(t) = parsed.title {
-                        fields.push(("title".to_string(), t));
-                    }
-                    if let Some(a) = parsed.authors {
-                        fields.push(("author_names".to_string(), a));
-                    }
-                }
+        let first_id = store.next_id();
+        let type_it = || type_page(page, recs, first_id, &registry, config);
+        let typed: memo::TypedPage = match caches.as_deref_mut() {
+            Some(c) => {
+                let fp = page_fps
+                    .get(i)
+                    .expect("invariant: cached builds fingerprint every page");
+                c.memo_typed(*fp, first_id, type_it)
             }
-            // Each field is typed once: the claim takes a clone, the record
-            // the value itself.
-            let values: Vec<AttrValue> = fields
-                .iter()
-                .map(|(field, raw)| type_value(field, raw))
-                .collect();
-            if config.trust.enabled && config.trust.concepts.iter().any(|c| c == concept_name) {
-                let name = fields
-                    .iter()
-                    .find(|(k, _)| k == "name")
-                    .map(|(_, v)| v.as_str())
-                    .unwrap_or("");
-                let city = fields
-                    .iter()
-                    .find(|(k, _)| k == "city")
-                    .map(|(_, v)| v.as_str())
-                    .unwrap_or("");
-                // Unnamed records would all pool together; skip them.
-                if !name.is_empty() {
-                    let pool = pool_key(concept_name, name, city);
-                    for ((field, _), value) in fields.iter().zip(&values) {
-                        // Pool-key attributes (name, city) are tautologically
-                        // in agreement within a pool — every site "wins" them,
-                        // so they carry no reliability signal and would only
-                        // dilute the contested facts that do.
-                        if field == "name" || field == "city" {
-                            continue;
-                        }
-                        claims.push(Claim {
-                            site: page.site.clone(),
-                            pool: pool.clone(),
-                            attr: field.clone(),
-                            value: value.clone(),
-                            confidence: rec.confidence,
-                        });
-                    }
-                }
-            }
-            let id = store.insert(cid, tick, |r| {
-                for ((field, _), value) in fields.iter().zip(values) {
-                    r.add(
-                        field,
-                        value,
-                        Provenance::extracted(&page.url, op, rec.confidence, tick),
-                    );
-                }
-            });
+            None => Arc::new(type_it()),
+        };
+        for t in typed.iter() {
+            let op_node = lineage.operator(t.op, vec![doc_node]);
+            claims.extend(t.claims.iter().cloned());
+            let id = store.insert_shared(tick, Arc::clone(&t.rec));
             lineage.record(id, op_node);
             web.associate(id, &page.url, AssocKind::ExtractedFrom);
             created.push(id);
             record_sites.push((id, page.site.clone()));
+            record_digests.push(t.digest);
         }
     }
     report.lrecs_extracted = created.len();
@@ -651,21 +693,21 @@ pub fn build_with_caches(
         if !config.resolve_entities {
             break;
         }
-        let cid = concept_id(cname);
+        let cid = registry.id_of(cname).expect("standard concept");
         let ids: Vec<LrecId> = store.by_concept(cid);
         if ids.len() < 2 {
             continue;
         }
-        let recs: Vec<Lrec> = ids
+        let recs: Vec<Arc<Lrec>> = ids
             .iter()
             .map(|&i| {
                 store
-                    .latest(i)
+                    .latest_shared(i)
+                    .cloned()
                     .expect("invariant: by_concept() yields live ids")
-                    .clone()
             })
             .collect();
-        let refs: Vec<&Lrec> = recs.iter().collect();
+        let refs: Vec<&Lrec> = recs.iter().map(|r| &**r).collect();
         let block = || candidate_pairs_sharded(&refs, 200, threads);
         let fs = scorer_for(cname);
         let scored: memo::ScoredPairs = match caches.as_deref_mut() {
@@ -674,8 +716,17 @@ pub fn build_with_caches(
                 // exist, so they are pure functions of extracted content —
                 // stable under the id renumbering a removed page causes.
                 // Blocking and scoring read nothing else, so a concept
-                // whose digest sequence is unchanged skips both.
-                let digests: Vec<u64> = shard_map(&refs, threads, |r| memo::content_digest(r));
+                // whose digest sequence is unchanged skips both. Every
+                // record of the concept is still the version stage B
+                // inserted, so the digest it was typed with is current.
+                let digests: Vec<u64> = ids
+                    .iter()
+                    .map(|id| {
+                        *record_digests
+                            .get(id.0 as usize)
+                            .expect("invariant: stage B digests every record it creates")
+                    })
+                    .collect();
                 c.memo_partition(cid.0, &digests, threads, block, |i, j| {
                     fs.score(&recs[i], &recs[j])
                 })
@@ -774,9 +825,9 @@ pub fn build_with_caches(
             break;
         }
         let rec = store
-            .latest(id)
-            .expect("invariant: live_ids() yields ids with a latest version")
-            .clone();
+            .latest_shared(id)
+            .cloned()
+            .expect("invariant: live_ids() yields ids with a latest version");
         let Some(schema) = registry.schema(rec.concept()) else {
             continue;
         };
@@ -828,18 +879,18 @@ pub fn build_with_caches(
 
     // --- Stage D: review → record linking --------------------------------
     let mut review_links = 0usize;
-    let restaurant_recs: Vec<Lrec> = store
+    let restaurant_recs: Vec<Arc<Lrec>> = store
         .by_concept(concepts.restaurant)
         .into_iter()
         .map(|id| {
             store
-                .latest(id)
+                .latest_shared(id)
+                .cloned()
                 .expect("invariant: by_concept() yields live ids")
-                .clone()
         })
         .collect();
     if !restaurant_recs.is_empty() {
-        let matcher = GenerativeMatcher::build(restaurant_recs.iter(), &[], 0.6);
+        let matcher = GenerativeMatcher::build(restaurant_recs.iter().map(|r| &**r), &[], 0.6);
         for rid in store.by_concept(concepts.review) {
             let Some(text) = store
                 .latest(rid)
@@ -1071,7 +1122,7 @@ pub fn build_with_caches(
 
     // --- Stage G: indexes ---------------------------------------------------
     let record_index = match caches.as_deref_mut() {
-        Some(c) => c.record_index_with(record_entries(&store)),
+        Some(c) => c.record_index_with(&store),
         None => flat_record_index(&store),
     };
     let (doc_index, doc_urls, doc_titles) = match caches.as_deref_mut() {

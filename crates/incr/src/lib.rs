@@ -27,7 +27,14 @@
 //!    memo, `woc_core::memo`). Because every memo is a pure-function memo, the
 //!    maintained web is **byte-identical** to a from-scratch rebuild at the
 //!    same epoch — [`canonical_bytes`] is the oracle the equivalence tests
-//!    and the `incr-equivalence` CI gate compare with.
+//!    and the `incr-equivalence` CI gate compare with. Consecutive epochs
+//!    share what the pass did not change: records, versions and posting
+//!    lists are copy-on-write behind `Arc`s, a clean page's typed records
+//!    are re-inserted as the allocations the previous epoch holds
+//!    ([`MaintainReport::records_retyped`] counts the rest), and only
+//!    records whose stored value moved are tokenized again
+//!    ([`MaintainReport::record_tokens_recomputed`]) — so a pass allocates,
+//!    and retiring an epoch frees, about its delta.
 //! 4. **Delta publishing** — [`IncrEngine::maintain_and_publish`] folds the
 //!    pass into a [`woc_serve::SegmentDelta`] ([`segment_delta`]) and ships
 //!    the maintained web and its segmented index through the serving
@@ -113,6 +120,10 @@ pub struct MaintainReport {
     pub touched_concepts: Vec<ConceptId>,
     /// Pages whose extraction was actually recomputed.
     pub pages_reextracted: usize,
+    /// Records typed afresh: the records of every page whose content or
+    /// first record id changed. Every other record of the new web is the
+    /// allocation the previous epoch already held.
+    pub records_retyped: usize,
     /// Candidate pairs whose match score was actually recomputed.
     pub pairs_rescored: usize,
     /// Pages re-scanned for record mentions.
@@ -120,6 +131,9 @@ pub struct MaintainReport {
     /// `(term, doc)` postings removed or inserted by in-place index
     /// patching.
     pub postings_patched: usize,
+    /// Live records whose index tokens were recomputed; the rest kept the
+    /// token lists of the previous pass.
+    pub record_tokens_recomputed: usize,
     /// True when the record index could not be patched and was rebuilt.
     pub record_index_rebuilt: bool,
     /// True when the document index could not be patched and was rebuilt.
@@ -219,6 +233,13 @@ impl IncrEngine {
     /// The current maintained web.
     pub fn web(&self) -> &WebOfConcepts {
         &self.web
+    }
+
+    /// The current maintained web as the engine holds it: the allocation
+    /// [`Self::maintain_and_publish`] ships, for a caller that publishes an
+    /// epoch itself.
+    pub fn shared_web(&self) -> Arc<WebOfConcepts> {
+        Arc::clone(&self.web)
     }
 
     /// The engine's incrementally-maintained segmented record index: a
@@ -364,6 +385,8 @@ impl IncrEngine {
         let stats = self.caches.stats();
         report.pages_fingerprinted = stats.pages_fingerprinted;
         report.pages_reextracted = stats.pages_reextracted;
+        report.records_retyped = stats.records_retyped;
+        report.record_tokens_recomputed = stats.record_tokens_recomputed;
         report.pairs_rescored = stats.pairs_rescored;
         report.mention_pages_rescanned = stats.mention_pages_rescanned;
         report.postings_patched = stats.postings_patched;
@@ -678,6 +701,32 @@ mod tests {
             engine.segments().flatten().digest(),
             engine.web().record_index.digest()
         );
+    }
+
+    #[test]
+    fn shared_web_is_the_published_allocation() {
+        use woc_serve::ServeConfig;
+
+        let world = World::generate(WorldConfig::tiny(45));
+        let corpus = generate_corpus(&world, &CorpusConfig::tiny(10));
+        let mut engine = IncrEngine::new(&corpus, PipelineConfig::default());
+        let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+        assert!(std::ptr::eq(&*engine.shared_web(), engine.web()));
+
+        let mut v2 = WebCorpus::new();
+        for (i, p) in corpus.pages().iter().enumerate() {
+            let mut p = p.clone();
+            if i == 1 {
+                p.title.push_str(" (renovated)");
+            }
+            v2.add(p);
+        }
+        let held = engine.shared_web();
+        engine
+            .maintain_and_publish(&v2, &server)
+            .expect("real change publishes");
+        assert!(Arc::ptr_eq(&engine.shared_web(), &server.snapshot().woc));
+        assert!(!Arc::ptr_eq(&engine.shared_web(), &held));
     }
 
     #[test]

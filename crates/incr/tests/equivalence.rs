@@ -4,9 +4,13 @@
 //! churn rate and any thread count. The `incr-equivalence` CI job runs
 //! exactly these tests.
 
+use std::sync::Arc;
+
 use woc_audit::{audit, AuditConfig};
-use woc_core::{build, AssocKind, PipelineConfig};
+use woc_core::{build, extract_page, AssocKind, PipelineConfig};
+use woc_extract::lists::ConceptProfile;
 use woc_incr::{canonical_bytes, IncrEngine};
+use woc_index::LrecIndex;
 use woc_lrec::{AttrValue, Provenance, Tick};
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_webgen::{
@@ -368,4 +372,143 @@ fn quiet_concepts_skip_resolution_and_survive_renumbering() {
         "no record changed content: stored pairs are positions and digests, not ids"
     );
     assert_equivalent(&engine, &corpus, &config, "a removal that renumbers ids");
+}
+
+/// Records stage B types from `page`: its extracted records that name a
+/// concept.
+fn typed_records(page: &woc_webgen::Page) -> usize {
+    extract_page(page, &ConceptProfile::standard())
+        .iter()
+        .filter(|r| r.concept.is_some())
+        .count()
+}
+
+/// Consecutive epochs share what the pass did not change. After a
+/// one-restaurant edit every never-merged, never-reconciled, never-linked
+/// record of a clean page is the *same allocation* in the old and the new
+/// web, only the dirty pages' records are typed again, and only the records
+/// that moved are tokenized again. A removed page shifts every later record
+/// id: the pages after it are typed again — ids are part of a record — and
+/// nothing before it is. Byte identity and a clean audit after each pass.
+#[test]
+fn untouched_records_are_shared_between_epochs() {
+    let mut world = World::generate(WorldConfig::tiny(505));
+    let corpus_cfg = CorpusConfig::tiny(55);
+    let config = pipeline(0);
+    let mut corpus = generate_corpus(&world, &corpus_cfg);
+    let mut engine = IncrEngine::new(&corpus, config.clone());
+
+    let tick = Tick(10);
+    world
+        .store
+        .update(world.restaurants[0], tick, |r| {
+            r.set(
+                "hours",
+                AttrValue::Text("6am - 11pm".to_string()),
+                Provenance::ground_truth(tick),
+            );
+        })
+        .expect("a live restaurant accepts a later-tick update");
+    corpus = generate_corpus(&world, &corpus_cfg);
+    let changes = engine.changes(&corpus);
+    assert!(!changes.dirty.is_empty() && changes.added.is_empty() && changes.removed.is_empty());
+
+    let old = engine.shared_web();
+    let report = engine.maintain(&corpus).expect("maintain must succeed");
+    let new = engine.shared_web();
+    assert_equivalent(&engine, &corpus, &config, "a one-restaurant edit");
+
+    let dirty_records: usize = changes
+        .dirty
+        .iter()
+        .map(|url| typed_records(corpus.get(url).expect("dirty pages exist")))
+        .sum();
+    assert!(dirty_records > 0);
+    assert_eq!(
+        report.records_retyped, dirty_records,
+        "only the dirty pages' records are typed again"
+    );
+
+    let live = new.store.live_ids();
+    let mut shared = 0usize;
+    for &id in &live {
+        let from_clean_pages = new
+            .web
+            .docs_of_kind(id, AssocKind::ExtractedFrom)
+            .iter()
+            .all(|url| !changes.dirty.iter().any(|d| d == url));
+        if new.store.num_versions(id) == 1 && from_clean_pages {
+            assert!(
+                Arc::ptr_eq(
+                    old.store.latest_shared(id).expect("ids did not move"),
+                    new.store
+                        .latest_shared(id)
+                        .expect("live ids have a version"),
+                ),
+                "record {id} was not touched: both epochs hold one allocation"
+            );
+            shared += 1;
+        }
+    }
+    assert!(
+        shared * 3 > live.len(),
+        "most live records are single-version: {shared} of {}",
+        live.len()
+    );
+
+    let moved = live
+        .iter()
+        .filter(|&&id| {
+            let tokens =
+                |woc: &woc_core::WebOfConcepts| woc.store.latest(id).map(LrecIndex::record_tokens);
+            tokens(&old) != tokens(&new)
+        })
+        .count();
+    assert_eq!(
+        (moved, report.record_tokens_recomputed),
+        (1, 1),
+        "the edited restaurant's record is indexed under new tokens, and it \
+         alone is tokenized again — of {} live records",
+        live.len()
+    );
+
+    // A removed aggregator page: every record typed after it gets a
+    // smaller id, so every page after it is typed again.
+    let position = corpus
+        .pages()
+        .iter()
+        .position(|p| p.truth.kind == PageKind::AggregatorBiz && typed_records(p) > 0)
+        .expect("the tiny world has aggregator pages");
+    let gone = corpus.pages()[position].url.clone();
+    corpus.remove(&gone);
+    let after: usize = corpus.pages()[position..].iter().map(typed_records).sum();
+    assert!(after > 0, "{gone} is not the last page with records");
+    let report = engine.maintain(&corpus).expect("maintain must succeed");
+    assert_eq!(
+        report.records_retyped, after,
+        "the records of every page after the removed one, and no others"
+    );
+    assert_equivalent(&engine, &corpus, &config, "a removal that renumbers ids");
+}
+
+/// A cold build and a build through cold caches agree at any thread count,
+/// and so does a maintained pass on top: sharing records between epochs
+/// never depends on how the work was sharded.
+#[test]
+fn cold_and_cached_builds_agree_at_1_and_4_threads() {
+    let mut world = World::generate(WorldConfig::tiny(506));
+    let corpus_cfg = CorpusConfig::tiny(56);
+    let v1 = generate_corpus(&world, &corpus_cfg);
+    churn_until_events(&mut world, 0.2, Tick(10), 1);
+    let v2 = generate_corpus(&world, &corpus_cfg);
+    let reference = [&v1, &v2].map(|c| canonical_bytes(&build(c, &pipeline(1))));
+    for threads in [1, 4] {
+        let config = pipeline(threads);
+        assert_eq!(canonical_bytes(&build(&v1, &config)), reference[0]);
+        let mut engine = IncrEngine::new(&v1, config.clone());
+        assert_eq!(canonical_bytes(engine.web()), reference[0]);
+        engine.maintain(&v2).expect("maintain must succeed");
+        assert_eq!(canonical_bytes(engine.web()), reference[1]);
+        assert_clean_audit(engine.web());
+    }
 }

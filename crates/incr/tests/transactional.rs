@@ -183,9 +183,15 @@ fn engine_and_server_share_one_web_per_epoch() {
 }
 
 /// A reader that pinned epoch *n* keeps rendering epoch *n*, byte for
-/// byte, however many epochs the engine and the server move on.
+/// byte, however many epochs the engine and the server move on — also when
+/// it reads from another thread while the later passes run: consecutive
+/// epochs share records, versions and posting lists, so the writer bumps,
+/// copies-on-write and releases heap objects the reader is walking (the
+/// TSan leg runs this test).
 #[test]
 fn pinned_reader_keeps_its_epoch_across_later_publishes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     let (v1, v2) = epochs();
     let mut engine = IncrEngine::new(&v1, PipelineConfig::default());
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
@@ -196,12 +202,33 @@ fn pinned_reader_keeps_its_epoch_across_later_publishes() {
     let bytes = canonical_bytes(&pinned.woc);
     assert_eq!(pinned.epoch, 2);
 
-    for (corpus, epoch) in [(&v1, 3), (&v2, 4)] {
-        let (_, served) = engine
-            .maintain_and_publish(corpus, &server)
-            .expect("later epochs publish");
-        assert_eq!(served, epoch);
-    }
+    let (reading_tx, reading_rx) = std::sync::mpsc::channel();
+    let passes_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        // Render the pinned epoch over and over until the writer is done.
+        let reader = s.spawn(|| {
+            let mut reads = 0usize;
+            loop {
+                reading_tx.send(()).expect("the writer outlives the reader");
+                assert_eq!(canonical_bytes(&pinned.woc), bytes);
+                reads += 1;
+                if passes_done.load(Ordering::SeqCst) {
+                    return reads;
+                }
+            }
+        });
+        for (corpus, epoch) in [(&v1, 3), (&v2, 4)] {
+            // A pass starts only once a read is under way.
+            reading_rx.recv().expect("the reader is running");
+            let (_, served) = engine
+                .maintain_and_publish(corpus, &server)
+                .expect("later epochs publish");
+            assert_eq!(served, epoch);
+        }
+        passes_done.store(true, Ordering::SeqCst);
+        let reads = reader.join().expect("the reader never saw other bytes");
+        assert!(reads >= 2, "one read began before each pass");
+    });
     assert_eq!(pinned.epoch, 2);
     assert_eq!(canonical_bytes(&pinned.woc), bytes);
     // Epoch 4 was maintained from the same crawl as the pinned one: equal

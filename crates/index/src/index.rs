@@ -1,6 +1,22 @@
 //! The inverted index with BM25 ranking.
+//!
+//! ## Sharing between copies
+//!
+//! The index keeps one map, term → `TermPostings` (the posting list and
+//! the positional list of that term), with both the term and its postings
+//! behind `Arc`s. [`Clone`] therefore copies the table and bumps reference
+//! counts: a clone shares every term's lists with its original — this is
+//! how an incremental-maintenance cache hands each epoch its own index
+//! without copying, or later freeing, the vocabulary. The copy-on-write
+//! rule: a mutation may only reach a term's lists through
+//! [`Arc::make_mut`], which copies that one term's lists when someone else
+//! still holds them. [`InvertedIndex::add_tokens`] and
+//! [`InvertedIndex::replace_doc`] look the term up first and take only the
+//! terms they change, so a patched clone leaves its original — digest,
+//! search results, positions — exactly as it was.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use woc_textkit::tokenize::tokenize_words;
 use woc_textkit::Fnv1a;
@@ -72,7 +88,7 @@ fn bm25_term_score(params: Bm25Params, idf: f64, tf: f64, len: f64, avg: f64) ->
 pub struct ScoringStats {
     num_docs: usize,
     total_len: u64,
-    df: HashMap<String, u32>,
+    df: HashMap<Arc<str>, u32>,
 }
 
 impl ScoringStats {
@@ -99,12 +115,12 @@ impl ScoringStats {
     /// statistics without comparing whole tables.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
-        let mut terms: Vec<&String> = self.df.keys().collect();
+        let mut terms: Vec<(&Arc<str>, &u32)> = self.df.iter().collect();
         terms.sort_unstable();
-        for t in terms {
+        for (t, &df) in terms {
             h.str(t);
             h.bytes(&[0xff]);
-            h.u64(self.df[t] as u64);
+            h.u64(df as u64);
         }
         h.u64(self.num_docs as u64);
         h.u64(self.total_len);
@@ -136,7 +152,7 @@ pub struct BlockMeta {
 /// [`InvertedIndex::search_terms_pruned_with_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct BlockMaxIndex {
-    terms: HashMap<String, Vec<BlockMeta>>,
+    terms: HashMap<Arc<str>, Vec<BlockMeta>>,
 }
 
 impl BlockMaxIndex {
@@ -174,16 +190,23 @@ impl PartialOrd for WorstFirst {
     }
 }
 
+/// Everything the index holds for one term, shared between index copies
+/// until one of them changes it (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct TermPostings {
+    list: PostingList,
+    /// `(doc, sorted token positions)` in doc order — the positional index
+    /// backing phrase queries.
+    positions: Vec<(DocId, Vec<u32>)>,
+}
+
 /// An in-memory inverted index over externally keyed documents.
 ///
 /// Documents are added once each (the id is assigned densely by insertion
 /// order); the caller maps [`DocId`]s back to its own keys (URLs, lrec ids).
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    terms: HashMap<String, PostingList>,
-    /// Term → (doc, sorted token positions) — the positional index backing
-    /// phrase queries.
-    positions: HashMap<String, Vec<(DocId, Vec<u32>)>>,
+    terms: HashMap<Arc<str>, Arc<TermPostings>>,
     doc_lens: Vec<u32>,
     total_len: u64,
     params: Bm25Params,
@@ -206,14 +229,16 @@ impl InvertedIndex {
     pub fn add_tokens<S: AsRef<str>>(&mut self, tokens: &[S]) -> DocId {
         let id = DocId(self.doc_lens.len() as u32);
         for (pos, t) in tokens.iter().enumerate() {
-            self.terms
-                .entry(t.as_ref().to_string())
-                .or_default()
-                .add(id);
-            let plist = self.positions.entry(t.as_ref().to_string()).or_default();
-            match plist.last_mut() {
+            let t = t.as_ref();
+            // A known term costs one lookup and no allocation.
+            let term = match self.terms.get_mut(t) {
+                Some(term) => Arc::make_mut(term),
+                None => Arc::make_mut(self.terms.entry(Arc::from(t)).or_default()),
+            };
+            term.list.add(id);
+            match term.positions.last_mut() {
                 Some((d, ps)) if *d == id => ps.push(pos as u32),
-                _ => plist.push((id, vec![pos as u32])),
+                _ => term.positions.push((id, vec![pos as u32])),
             }
         }
         self.doc_lens.push(tokens.len() as u32);
@@ -249,18 +274,14 @@ impl InvertedIndex {
             if !seen.insert(t.as_str()) {
                 continue;
             }
-            if let Some(pl) = self.terms.get_mut(t) {
-                pl.remove_doc(doc);
-                if pl.is_empty() {
-                    self.terms.remove(t);
+            if let Some(term) = self.terms.get_mut(t.as_str()) {
+                let term = Arc::make_mut(term);
+                term.list.remove_doc(doc);
+                if let Ok(i) = term.positions.binary_search_by_key(&doc, |&(d, _)| d) {
+                    term.positions.remove(i);
                 }
-            }
-            if let Some(pv) = self.positions.get_mut(t) {
-                if let Ok(i) = pv.binary_search_by_key(&doc, |&(d, _)| d) {
-                    pv.remove(i);
-                }
-                if pv.is_empty() {
-                    self.positions.remove(t);
+                if term.list.is_empty() {
+                    self.terms.remove(t.as_str());
                 }
             }
             patched += 1;
@@ -274,11 +295,12 @@ impl InvertedIndex {
             per_term.entry(t.as_str()).or_default().push(pos as u32);
         }
         for (t, ps) in per_term {
-            self.terms
-                .entry(t.to_string())
-                .or_default()
-                .insert(doc, ps.len() as u32);
-            let pv = self.positions.entry(t.to_string()).or_default();
+            let term = match self.terms.get_mut(t) {
+                Some(term) => Arc::make_mut(term),
+                None => Arc::make_mut(self.terms.entry(Arc::from(t)).or_default()),
+            };
+            term.list.insert(doc, ps.len() as u32);
+            let pv = &mut term.positions;
             match pv.binary_search_by_key(&doc, |&(d, _)| d) {
                 Err(i) => pv.insert(i, (doc, ps)),
                 Ok(_) => unreachable!("old postings for doc {} were just removed", doc.0),
@@ -292,9 +314,10 @@ impl InvertedIndex {
 
     /// Positions of `term` in `doc`, sorted ascending (empty if absent).
     pub fn positions(&self, term: &str, doc: DocId) -> &[u32] {
-        self.positions
+        self.terms
             .get(term)
-            .and_then(|pl| {
+            .and_then(|t| {
+                let pl = &t.positions;
                 pl.binary_search_by_key(&doc, |&(d, _)| d)
                     .ok()
                     .and_then(|i| pl.get(i))
@@ -339,7 +362,7 @@ impl InvertedIndex {
 
     /// Document frequency of a term.
     pub fn df(&self, term: &str) -> u32 {
-        self.terms.get(term).map(PostingList::doc_freq).unwrap_or(0)
+        self.terms.get(term).map_or(0, |t| t.list.doc_freq())
     }
 
     /// Content digest: FNV-1a over the sorted vocabulary, every posting and
@@ -348,16 +371,16 @@ impl InvertedIndex {
     /// any-thread-count determinism tests.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
-        let mut terms: Vec<&String> = self.terms.keys().collect();
-        terms.sort_unstable();
-        for t in terms {
+        let mut terms: Vec<(&Arc<str>, &Arc<TermPostings>)> = self.terms.iter().collect();
+        terms.sort_unstable_by_key(|&(t, _)| t);
+        for (t, term) in terms {
             h.str(t);
             h.bytes(&[0xff]);
-            for p in self.terms[t].iter() {
+            for p in term.list.iter() {
                 h.u64(p.doc.0 as u64);
                 h.u64(p.tf as u64);
             }
-            for (doc, ps) in &self.positions[t] {
+            for (doc, ps) in &term.positions {
                 h.u64(doc.0 as u64);
                 ps.iter().for_each(|&p| h.u64(p as u64));
             }
@@ -367,10 +390,6 @@ impl InvertedIndex {
         }
         h.u64(self.total_len);
         h.finish()
-    }
-
-    fn idf(&self, term: &str) -> f64 {
-        bm25_idf(self.num_docs() as f64, self.df(term) as f64)
     }
 
     fn avg_len(&self) -> f64 {
@@ -385,7 +404,7 @@ impl InvertedIndex {
         let df = self
             .terms
             .iter()
-            .map(|(t, pl)| (t.clone(), pl.doc_freq()))
+            .map(|(t, term)| (Arc::clone(t), term.list.doc_freq()))
             .collect();
         ScoringStats {
             num_docs: self.doc_lens.len(),
@@ -434,14 +453,14 @@ impl InvertedIndex {
         // woc-lint: allow(map-iter-order) — `terms` is the query slice parameter
         // (shadows the postings field name); scores sum commutatively into `acc`.
         for t in terms {
-            let Some(pl) = self.terms.get(t.as_ref()) else {
+            let Some(term) = self.terms.get(t.as_ref()) else {
                 continue;
             };
             let idf = match stats {
                 Some(s) => s.idf(t.as_ref()),
-                None => self.idf(t.as_ref()),
+                None => bm25_idf(self.num_docs() as f64, term.list.doc_freq() as f64),
             };
-            for p in pl.iter() {
+            for p in term.list.iter() {
                 let len = self.doc_lens[p.doc.0 as usize] as f64;
                 let s = bm25_term_score(self.params, idf, p.tf as f64, len, avg);
                 *acc.entry(p.doc).or_insert(0.0) += s;
@@ -471,8 +490,9 @@ impl InvertedIndex {
         let terms = self
             .terms
             .iter()
-            .map(|(t, pl)| {
-                let blocks = pl
+            .map(|(t, term)| {
+                let blocks = term
+                    .list
                     .as_slice()
                     .chunks(block)
                     .map(|chunk| BlockMeta {
@@ -485,7 +505,7 @@ impl InvertedIndex {
                             .unwrap_or(0),
                     })
                     .collect();
-                (t.clone(), blocks)
+                (Arc::clone(t), blocks)
             })
             .collect();
         BlockMaxIndex { terms }
@@ -532,7 +552,7 @@ impl InvertedIndex {
         // woc-lint: allow(map-iter-order) — `terms` is the query slice
         // parameter (shadows the postings field name), already in query order.
         for (ord, t) in terms.iter().enumerate() {
-            let Some(pl) = self.terms.get(t.as_ref()) else {
+            let Some(term) = self.terms.get(t.as_ref()) else {
                 continue;
             };
             let idf = stats.idf(t.as_ref());
@@ -552,7 +572,7 @@ impl InvertedIndex {
             lists.push(Cursor {
                 ord,
                 idf,
-                ps: pl.as_slice(),
+                ps: term.list.as_slice(),
                 blocks,
                 ub,
                 pos: 0,
@@ -709,8 +729,8 @@ impl InvertedIndex {
         // woc-lint: allow(map-iter-order) — `terms` is the tokenized query Vec
         // (shadows the postings field name), already in query order.
         for t in &terms {
-            match self.terms.get(t) {
-                Some(pl) => lists.push(pl),
+            match self.terms.get(t.as_str()) {
+                Some(term) => lists.push(&term.list),
                 None => return Vec::new(),
             }
         }
@@ -860,6 +880,56 @@ mod tests {
         assert_eq!(patched.df("salsa"), 0, "orphaned term purged");
         assert!(patched.positions("chicago", DocId(2)).is_empty());
         assert_eq!(patched.search_phrase("udon noodle bar"), vec![DocId(2)]);
+    }
+
+    /// Everything a reader can ask an index, rendered: digest, a ranked
+    /// search, a phrase search and one positional list.
+    fn observed(ix: &InvertedIndex) -> (u64, Vec<Hit>, Vec<DocId>, Vec<u32>) {
+        (
+            ix.digest(),
+            ix.search("mexican salsa cupertino", 10),
+            ix.search_phrase("salsa salsa"),
+            ix.positions("salsa", DocId(2)).to_vec(),
+        )
+    }
+
+    #[test]
+    fn patching_a_clone_leaves_its_original_alone() {
+        let original = idx();
+        let before = observed(&original);
+        let stats = original.scoring_stats();
+        let blocks = original.block_max(2);
+
+        // `replace_doc` on a clone that shares every term with `original`:
+        // purges "salsa", shrinks "mexican", adds new terms.
+        let mut patched = original.clone();
+        let old = toks("best mexican food in Chicago salsa salsa salsa");
+        patched.replace_doc(DocId(2), &old, &toks("udon noodle bar cupertino"));
+        // `add_tokens` on another: a known term grows, a new one appears.
+        let mut grown = original.clone();
+        grown.add_text("mexican cantina tequila");
+
+        assert_eq!(observed(&original), before);
+        assert_eq!(observed(&original), observed(&idx()));
+        assert_eq!(original.scoring_stats(), stats);
+        assert_eq!(
+            original.block_max(2).blocks("mexican"),
+            blocks.blocks("mexican")
+        );
+        assert_eq!(original.df("mexican"), 2);
+        assert_eq!((patched.df("mexican"), grown.df("mexican")), (1, 3));
+        assert_eq!((patched.df("salsa"), grown.df("tequila")), (0, 1));
+
+        // …and each clone is what a fresh build of its documents would be.
+        let mut fresh = InvertedIndex::new();
+        fresh.add_text("Gochi Fusion Tapas Cupertino japanese tapas");
+        fresh.add_text("Taqueria El Farolito San Francisco mexican burrito");
+        fresh.add_text("udon noodle bar cupertino");
+        fresh.add_text("Cupertino city guide hotels attractions");
+        assert_eq!(observed(&patched), observed(&fresh));
+        let mut fresh = idx();
+        fresh.add_text("mexican cantina tequila");
+        assert_eq!(observed(&grown), observed(&fresh));
     }
 
     #[test]

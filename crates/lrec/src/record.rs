@@ -1,6 +1,23 @@
 //! The lrec record type.
+//!
+//! ## Sharing between copies
+//!
+//! A record's attribute lists sit behind `Arc`s, so [`Clone`] copies
+//! pointers: a clone shares every key and every value list with its
+//! original until one of them changes. The copy-on-write rule is that a
+//! mutation may only reach a list through [`Arc::make_mut`], which copies
+//! the one list being changed when — and only when — someone else still
+//! holds it. [`Lrec::add`], [`Lrec::set`], [`Lrec::remove`] and
+//! [`Lrec::absorb`] look the key up first and touch only the attribute
+//! they change; `absorb` takes a list mutably only when it actually
+//! replaces or appends an entry. Value semantics are those of a deep copy:
+//! `==`, `Debug`, key order and the serialized form cannot tell a shared
+//! list from a private one. This is what lets consecutive epochs of a
+//! maintained web hold the same untouched records (see `woc-core`'s `memo`
+//! module) instead of one heap object per attribute value per epoch.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +48,7 @@ pub struct ValueEntry {
 pub struct Lrec {
     id: LrecId,
     concept: ConceptId,
-    attrs: BTreeMap<String, Vec<ValueEntry>>,
+    attrs: BTreeMap<Arc<str>, Arc<Vec<ValueEntry>>>,
 }
 
 impl Lrec {
@@ -58,26 +75,37 @@ impl Lrec {
 
     /// Add a value for `key` (appends; does not replace).
     pub fn add(&mut self, key: &str, value: AttrValue, provenance: Provenance) {
-        self.attrs
-            .entry(key.to_string())
-            .or_default()
-            .push(ValueEntry { value, provenance });
+        let entry = ValueEntry { value, provenance };
+        match self.attrs.get_mut(key) {
+            Some(list) => Arc::make_mut(list).push(entry),
+            None => {
+                self.attrs.insert(Arc::from(key), Arc::new(vec![entry]));
+            }
+        }
     }
 
     /// Replace all values of `key` with a single value.
     pub fn set(&mut self, key: &str, value: AttrValue, provenance: Provenance) {
-        self.attrs
-            .insert(key.to_string(), vec![ValueEntry { value, provenance }]);
+        let list = Arc::new(vec![ValueEntry { value, provenance }]);
+        match self.attrs.get_mut(key) {
+            Some(slot) => *slot = list,
+            None => {
+                self.attrs.insert(Arc::from(key), list);
+            }
+        }
     }
 
     /// Remove all values of `key`, returning them.
     pub fn remove(&mut self, key: &str) -> Vec<ValueEntry> {
-        self.attrs.remove(key).unwrap_or_default()
+        self.attrs
+            .remove(key)
+            .map(Arc::unwrap_or_clone)
+            .unwrap_or_default()
     }
 
     /// All entries for `key`.
     pub fn get(&self, key: &str) -> &[ValueEntry] {
-        self.attrs.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.attrs.get(key).map(|l| l.as_slice()).unwrap_or(&[])
     }
 
     /// The highest-confidence value for `key`, if any.
@@ -102,12 +130,12 @@ impl Lrec {
 
     /// Iterate over `(key, entries)` pairs in deterministic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[ValueEntry])> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        self.attrs.iter().map(|(k, v)| (&**k, v.as_slice()))
     }
 
     /// The set of populated attribute keys.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.attrs.keys().map(String::as_str)
+        self.attrs.keys().map(|k| &**k)
     }
 
     /// Number of populated attribute keys.
@@ -117,7 +145,7 @@ impl Lrec {
 
     /// Total number of values across all keys.
     pub fn num_values(&self) -> usize {
-        self.attrs.values().map(Vec::len).sum()
+        self.attrs.values().map(|l| l.len()).sum()
     }
 
     /// All outgoing record references (`Ref` values) with their keys.
@@ -152,18 +180,38 @@ impl Lrec {
     /// survives. `other`'s id and concept are discarded — the caller records
     /// the merge in lineage.
     pub fn absorb(&mut self, other: &Lrec) {
-        for (key, entries) in other.iter() {
-            for e in entries {
-                let existing = self.attrs.entry(key.to_string()).or_default();
-                if let Some(dup) = existing
-                    .iter_mut()
-                    .find(|x| x.value.same_denotation(&e.value))
-                {
-                    if e.provenance.confidence > dup.provenance.confidence {
-                        *dup = e.clone();
+        for (key, theirs) in &other.attrs {
+            // An empty list (only a hand-written snapshot can hold one)
+            // contributes nothing, not even its key.
+            if theirs.is_empty() {
+                continue;
+            }
+            let ours = match self.attrs.get_mut(key) {
+                Some(ours) => ours,
+                None => {
+                    // A key `self` lacks takes `other`'s list itself, shared,
+                    // when every entry would be appended: that is, when no
+                    // two of them denote the same value.
+                    let distinct = theirs.iter().enumerate().all(|(n, e)| {
+                        !theirs
+                            .iter()
+                            .take(n)
+                            .any(|x| x.value.same_denotation(&e.value))
+                    });
+                    if distinct {
+                        self.attrs.insert(Arc::clone(key), Arc::clone(theirs));
+                        continue;
                     }
-                } else {
-                    existing.push(e.clone());
+                    self.attrs.entry(Arc::clone(key)).or_default()
+                }
+            };
+            for e in theirs.iter() {
+                match ours.iter().position(|x| x.value.same_denotation(&e.value)) {
+                    Some(i) if e.provenance.confidence > ours[i].provenance.confidence => {
+                        Arc::make_mut(ours)[i] = e.clone();
+                    }
+                    Some(_) => {}
+                    None => Arc::make_mut(ours).push(e.clone()),
                 }
             }
         }
@@ -249,6 +297,95 @@ mod tests {
         let best = a.best("phone").unwrap();
         assert!((best.provenance.confidence - 0.95).abs() < 1e-12);
         assert_eq!(a.get("cuisine").len(), 1);
+    }
+
+    /// The entry-by-entry merge `absorb` implemented before attribute lists
+    /// were shared: its reference.
+    fn absorb_entry_by_entry(this: &mut Lrec, other: &Lrec) {
+        for (key, entries) in other.iter() {
+            for e in entries {
+                let existing = Arc::make_mut(this.attrs.entry(Arc::from(key)).or_default());
+                if let Some(dup) = existing
+                    .iter_mut()
+                    .find(|x| x.value.same_denotation(&e.value))
+                {
+                    if e.provenance.confidence > dup.provenance.confidence {
+                        *dup = e.clone();
+                    }
+                } else {
+                    existing.push(e.clone());
+                }
+            }
+        }
+    }
+
+    fn shares(a: &Lrec, b: &Lrec, key: &str) -> bool {
+        Arc::ptr_eq(&a.attrs[key], &b.attrs[key])
+    }
+
+    #[test]
+    fn clone_shares_every_list_until_one_side_writes() {
+        let original = rec();
+        let before = original.to_value();
+        let mut copy = original.clone();
+        assert!(shares(&original, &copy, "name") && shares(&original, &copy, "phone"));
+
+        copy.add("phone", AttrValue::Phone("4085550100".into()), prov(0.5));
+        assert!(
+            shares(&original, &copy, "name"),
+            "untouched lists stay shared"
+        );
+        assert!(!shares(&original, &copy, "phone"));
+        copy.set("name", "Gochi".into(), prov(1.0));
+        assert_eq!(copy.remove("phone").len(), 3);
+        copy.add("cuisine", "Japanese".into(), prov(0.7));
+
+        assert_eq!(original, rec(), "the original never moved");
+        assert_eq!(original.to_value(), before);
+        assert_eq!(original.get("phone").len(), 2);
+        // Removing a list someone else still holds hands out a copy of it.
+        assert_eq!(original.clone().remove("phone"), original.get("phone"));
+    }
+
+    #[test]
+    fn absorb_matches_the_entry_by_entry_loop() {
+        let mut loser = Lrec::new(LrecId(2), ConceptId(0));
+        // Two same-denotation entries under a key the winner lacks: the
+        // second, more confident one replaces the first.
+        loser.add("cuisine", "japanese".into(), prov(0.4));
+        loser.add("cuisine", "Japanese".into(), prov(0.7));
+        // A more confident duplicate of a value the winner has, in another
+        // format, and a less confident one.
+        loser.add("phone", "(408) 555-0134".into(), prov(0.95));
+        loser.add("phone", AttrValue::Phone("4085550199".into()), prov(0.1));
+        loser.add("hours", "9am - 9pm".into(), prov(0.6));
+        loser.add("hours", "5pm - 1am".into(), prov(0.6));
+        let pristine = loser.clone();
+
+        let mut expected = rec();
+        absorb_entry_by_entry(&mut expected, &loser);
+        let mut winner = rec();
+        let holder = winner.clone();
+        winner.absorb(&loser);
+        assert_eq!(winner, expected);
+        assert_eq!(winner.to_value(), expected.to_value());
+        assert_eq!(winner.get("cuisine").len(), 1);
+        assert_eq!(winner.best_text("cuisine"), Some("Japanese"));
+        assert_eq!(winner.get("phone").len(), 2);
+        assert_eq!(loser, pristine, "absorbing reads the loser only");
+        assert_eq!(holder, rec(), "…and never writes through a shared list");
+
+        // Only lists that changed were copied; a key the winner lacked
+        // whose entries are distinct is the loser's own list.
+        assert!(shares(&winner, &holder, "name"));
+        assert!(!shares(&winner, &holder, "phone"));
+        assert!(shares(&winner, &loser, "hours"));
+        assert!(!shares(&winner, &loser, "cuisine"));
+        // Absorbing it again changes nothing and copies nothing.
+        let settled = winner.clone();
+        winner.absorb(&loser);
+        assert_eq!(winner, settled);
+        assert!(winner.keys().all(|k| shares(&winner, &settled, k)));
     }
 
     #[test]

@@ -4,8 +4,19 @@
 //! version chain per record ("maintain versions of important concept
 //! instances over windows of time", §2.3), and maintains a by-concept
 //! secondary index.
+//!
+//! ## Sharing between copies
+//!
+//! Every stored version is an `Arc<Lrec>`, so cloning a store — or building
+//! the next epoch's store from records the previous one already holds
+//! ([`Store::insert_shared`], [`Store::latest_shared`]) — copies pointers,
+//! not records. Versions are immutable once stored: [`Store::update`] and
+//! [`Store::merge`] clone the latest record (itself copy-on-write, see
+//! [`crate::record`]), mutate the clone and append it as a new version, so
+//! nothing a holder of an older `Arc` can observe ever changes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +67,7 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Version {
     tick: Tick,
-    rec: Lrec,
+    rec: Arc<Lrec>,
 }
 
 /// The version chain of a record plus its liveness.
@@ -89,21 +100,15 @@ impl Store {
         Self::default()
     }
 
+    /// The id the next [`Store::create`], [`Store::insert`] or
+    /// [`Store::insert_shared`] will allocate.
+    pub fn next_id(&self) -> LrecId {
+        LrecId(self.next_id)
+    }
+
     /// Allocate a fresh id and create an empty record for `concept` at `tick`.
     pub fn create(&mut self, concept: ConceptId, tick: Tick) -> LrecId {
-        let id = LrecId(self.next_id);
-        self.next_id += 1;
-        let rec = Lrec::new(id, concept);
-        self.chains.insert(
-            id,
-            Chain {
-                versions: vec![Version { tick, rec }],
-                merged_into: None,
-                retracted: false,
-            },
-        );
-        self.by_concept.entry(concept).or_default().push(id);
-        id
+        self.insert(concept, tick, |_| {})
     }
 
     /// Insert a fully built record, allocating its id. Returns the id.
@@ -113,19 +118,31 @@ impl Store {
         tick: Tick,
         build: impl FnOnce(&mut Lrec),
     ) -> LrecId {
-        let id = self.create(concept, tick);
-        let mut rec = self
-            .latest(id)
-            .expect("invariant: id was created on the previous line")
-            .clone();
+        let mut rec = Lrec::new(self.next_id(), concept);
         build(&mut rec);
-        self.chains
-            .get_mut(&id)
-            .expect("invariant: id was created on the previous line")
-            .versions
-            .last_mut()
-            .expect("invariant: chains hold at least one version")
-            .rec = rec;
+        self.insert_shared(tick, Arc::new(rec))
+    }
+
+    /// Insert an already built, possibly shared record as the first version
+    /// of a new chain — the one insertion path. The record must carry the
+    /// id this store allocates next ([`Store::next_id`]).
+    ///
+    /// # Panics
+    ///
+    /// When `rec.id()` is not [`Store::next_id`].
+    pub fn insert_shared(&mut self, tick: Tick, rec: Arc<Lrec>) -> LrecId {
+        let id = self.next_id();
+        assert_eq!(rec.id(), id, "a record is inserted under the next free id");
+        self.next_id += 1;
+        self.by_concept.entry(rec.concept()).or_default().push(id);
+        self.chains.insert(
+            id,
+            Chain {
+                versions: vec![Version { tick, rec }],
+                merged_into: None,
+                retracted: false,
+            },
+        );
         id
     }
 
@@ -133,6 +150,12 @@ impl Store {
     /// tombstoned records still return their last version (their data was
     /// merged elsewhere but the history remains queryable).
     pub fn latest(&self, id: LrecId) -> Option<&Lrec> {
+        self.latest_shared(id).map(|rec| &**rec)
+    }
+
+    /// [`Store::latest`] as the stored allocation itself — what another
+    /// store, a memo or an index cache holds on to instead of a copy.
+    pub fn latest_shared(&self, id: LrecId) -> Option<&Arc<Lrec>> {
         self.chains.get(&id).map(|c| {
             &c.versions
                 .last()
@@ -170,7 +193,7 @@ impl Store {
             .iter()
             .rev()
             .find(|v| v.tick <= tick)
-            .map(|v| &v.rec)
+            .map(|v| &*v.rec)
     }
 
     /// Number of stored versions of a record.
@@ -203,14 +226,18 @@ impl Store {
                 got: tick,
             });
         }
-        let mut rec = chain
-            .versions
-            .last()
-            .expect("invariant: chains hold at least one version")
-            .rec
-            .clone();
+        let mut rec = Lrec::clone(
+            &chain
+                .versions
+                .last()
+                .expect("invariant: chains hold at least one version")
+                .rec,
+        );
         mutate(&mut rec);
-        chain.versions.push(Version { tick, rec });
+        chain.versions.push(Version {
+            tick,
+            rec: Arc::new(rec),
+        });
         Ok(())
     }
 
@@ -221,10 +248,10 @@ impl Store {
         if winner == loser {
             return Ok(());
         }
-        let loser_rec = self
-            .latest(loser)
-            .ok_or(StoreError::NotFound(loser))?
-            .clone();
+        let loser_rec = Arc::clone(
+            self.latest_shared(loser)
+                .ok_or(StoreError::NotFound(loser))?,
+        );
         if self
             .chains
             .get(&loser)
@@ -324,6 +351,62 @@ mod tests {
         let mut s = Store::new();
         let id = s.insert(C, Tick(0), |r| r.add("name", "Gochi".into(), prov()));
         assert_eq!(s.latest(id).unwrap().best_text("name"), Some("Gochi"));
+    }
+
+    #[test]
+    fn insert_shared_stores_the_allocation_it_is_given() {
+        let mut first = Store::new();
+        let id = first.insert(C, Tick(0), |r| r.add("name", "Gochi".into(), prov()));
+        let shared = Arc::clone(first.latest_shared(id).unwrap());
+
+        // A second store takes the same record under the same id: one
+        // allocation, two holders.
+        let mut second = Store::new();
+        assert_eq!(second.next_id(), id);
+        assert_eq!(second.insert_shared(Tick(0), Arc::clone(&shared)), id);
+        assert!(Arc::ptr_eq(second.latest_shared(id).unwrap(), &shared));
+        assert_eq!(second.by_concept(C), vec![id]);
+        assert_eq!(second.next_id(), LrecId(id.0 + 1));
+
+        // An update in one store appends a version there and leaves the
+        // shared first version — and the other store — as they were.
+        second
+            .update(id, Tick(1), |r| r.set("name", "Gochi Tapas".into(), prov()))
+            .unwrap();
+        assert_eq!(shared.best_text("name"), Some("Gochi"));
+        assert_eq!(first.latest(id).unwrap().best_text("name"), Some("Gochi"));
+        assert!(std::ptr::eq(second.as_of(id, Tick(0)).unwrap(), &*shared));
+        assert_eq!(
+            second.latest(id).unwrap().best_text("name"),
+            Some("Gochi Tapas")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "next free id")]
+    fn insert_shared_rejects_a_record_with_another_id() {
+        let mut s = Store::new();
+        s.insert_shared(Tick(0), Arc::new(Lrec::new(LrecId(3), C)));
+    }
+
+    #[test]
+    fn clones_and_merges_leave_other_holders_untouched() {
+        let mut s = Store::new();
+        let a = s.insert(C, Tick(0), |r| r.add("name", "Gochi".into(), prov()));
+        let b = s.insert(C, Tick(0), |r| {
+            r.add("phone", AttrValue::Phone("4085550134".into()), prov())
+        });
+        let frozen = s.clone();
+        assert!(Arc::ptr_eq(
+            frozen.latest_shared(a).unwrap(),
+            s.latest_shared(a).unwrap()
+        ));
+        s.merge(a, b, Tick(1)).unwrap();
+        assert_eq!(frozen.live_count(), 2);
+        assert_eq!(frozen.num_versions(a), 1);
+        assert!(frozen.latest(a).unwrap().best("phone").is_none());
+        assert_eq!(frozen.resolve(b), Some(b));
+        assert!(s.latest(a).unwrap().best("phone").is_some());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for store invariants (DESIGN.md §8): id uniqueness,
-//! version monotonicity, merge-resolution acyclicity, and absorb idempotence.
+//! version monotonicity, merge-resolution acyclicity, absorb idempotence,
+//! and copy-on-write isolation of record clones.
 
 use proptest::prelude::*;
+use serde::Serialize;
 use woc_lrec::{AttrValue, ConceptId, Lrec, LrecId, Provenance, Store, Tick};
 
 fn prov(c: f64) -> Provenance {
@@ -26,7 +28,105 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A random record mutation. Keys and values come from tiny alphabets —
+/// values differing only in case denote the same thing — so sequences hit
+/// existing keys, duplicates and higher-confidence replacements often.
+#[derive(Debug, Clone)]
+enum Edit {
+    Add(String, String, u8),
+    Set(String, String, u8),
+    Remove(String),
+    Absorb(Vec<(String, String, u8)>),
+}
+
+fn entry_strategy() -> impl Strategy<Value = (String, String, u8)> {
+    ("[a-d]", "[abAB]{1,2}", 0u8..10)
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        entry_strategy().prop_map(|(k, v, c)| Edit::Add(k, v, c)),
+        entry_strategy().prop_map(|(k, v, c)| Edit::Set(k, v, c)),
+        "[a-d]".prop_map(Edit::Remove),
+        prop::collection::vec(entry_strategy(), 0..6).prop_map(Edit::Absorb),
+    ]
+}
+
+/// A record built entry by entry — it shares no allocation with any other.
+fn record_of(id: u64, entries: &[(String, String, u8)]) -> Lrec {
+    let mut r = Lrec::new(LrecId(id), ConceptId(0));
+    for (k, v, c) in entries {
+        r.add(k, AttrValue::Text(v.clone()), prov(f64::from(*c) / 10.0));
+    }
+    r
+}
+
+/// The entry-by-entry merge `Lrec::absorb` implemented before attribute
+/// lists were shared, through the public API: its reference.
+fn absorb_entry_by_entry(this: &mut Lrec, other: &Lrec) {
+    for (key, entries) in other.iter() {
+        for e in entries {
+            let mut existing = this.remove(key);
+            if let Some(dup) = existing
+                .iter_mut()
+                .find(|x| x.value.same_denotation(&e.value))
+            {
+                if e.provenance.confidence > dup.provenance.confidence {
+                    *dup = e.clone();
+                }
+            } else {
+                existing.push(e.clone());
+            }
+            for x in existing {
+                this.add(key, x.value, x.provenance);
+            }
+        }
+    }
+}
+
 proptest! {
+    /// Copy-on-write isolation: edits to a clone never reach the original,
+    /// and the clone ends up exactly where an unshared record would.
+    #[test]
+    fn clone_edits_are_isolated_and_exact(
+        base in prop::collection::vec(entry_strategy(), 0..8),
+        edits in prop::collection::vec(edit_strategy(), 0..12),
+    ) {
+        let original = record_of(0, &base);
+        let pristine = record_of(0, &base);
+        let mut clone = original.clone();
+        let mut scratch = record_of(0, &base);
+        for edit in &edits {
+            match edit {
+                Edit::Add(k, v, c) => {
+                    let conf = f64::from(*c) / 10.0;
+                    clone.add(k, AttrValue::Text(v.clone()), prov(conf));
+                    scratch.add(k, AttrValue::Text(v.clone()), prov(conf));
+                }
+                Edit::Set(k, v, c) => {
+                    let conf = f64::from(*c) / 10.0;
+                    clone.set(k, AttrValue::Text(v.clone()), prov(conf));
+                    scratch.set(k, AttrValue::Text(v.clone()), prov(conf));
+                }
+                Edit::Remove(k) => {
+                    prop_assert_eq!(clone.remove(k), scratch.remove(k));
+                }
+                Edit::Absorb(entries) => {
+                    // The absorbed record stays shared with the clone
+                    // afterwards; it must come through unchanged too.
+                    let other = record_of(1, entries);
+                    clone.absorb(&other);
+                    absorb_entry_by_entry(&mut scratch, &other);
+                    prop_assert_eq!(&other, &record_of(1, entries));
+                }
+            }
+        }
+        prop_assert_eq!(&original, &pristine);
+        prop_assert_eq!(original.to_value(), pristine.to_value());
+        prop_assert_eq!(&clone, &scratch);
+        prop_assert_eq!(clone.to_value(), scratch.to_value());
+    }
+
     /// Run arbitrary op sequences; invariants must hold at the end.
     #[test]
     fn store_invariants(ops in prop::collection::vec(op_strategy(), 0..60)) {
