@@ -56,31 +56,44 @@
 //! ## The concept-partition memo
 //!
 //! Entity resolution (pipeline stage C) runs per concept, and on a long-tail
-//! web almost every concept is untouched by any one crawl batch. On top of
-//! the per-pair score memo sits a per-concept one
-//! ([`BuildCaches::memo_partition`]):
+//! web almost every concept is untouched by any one crawl batch — and the one
+//! a batch does reach keeps almost all of its records. One memo
+//! ([`BuildCaches::memo_partition`]) covers both: the previous partition of
+//! a concept *is* its pair-score memo.
 //!
-//! * **key** — the concept plus [`digest_seq`] of its records' pre-merge
-//!   [`content_digest`]s in `by_concept` order (length-framed, so a changed
-//!   record, a changed order and a changed length all change it);
+//! * **key** — the concept. The stored [`Partition`] carries the sequence
+//!   itself: its records' pre-merge [`content_digest`]s in `by_concept`
+//!   order, compared element for element (no digest of digests);
 //! * **value** — the concept's scored candidate pairs, in *position* space:
 //!   `(i, j, score)` index the record sequence, not record ids, so the
 //!   entry survives the id renumbering a removed page causes;
-//! * **a hit skips** blocking and every pair-memo probe for that concept —
-//!   both are pure functions of the record sequence the key digests — and
-//!   counts the stored pairs as score hits. Clustering, winner choice and
-//!   merges still run live: they read the association graph and mutate the
-//!   store and lineage;
-//! * **eviction exemption** — a hit never touches the concept's pair-memo
-//!   entries, so generation tagging alone would evict them at the end of
-//!   the pass and the first change in a long-quiet concept would rescore
-//!   its whole partition. A concept whose partition hit keeps its pair
-//!   entries through that pass's eviction; they are exactly the pairs of
-//!   the stored partition, so nothing accumulates;
-//! * **collisions** — the key is a 64-bit digest of 64-bit digests. A
-//!   collision would silently reuse another sequence's pairs; with a
-//!   handful of concepts and one live entry each the odds per pass are
-//!   ~10⁻¹⁹ on top of [`content_digest`]'s own ~10⁻¹³ — accepted.
+//! * **an equal sequence** skips blocking and scoring — both are pure
+//!   functions of the record sequence — and counts the stored pairs as score
+//!   hits. Clustering, winner choice and merges still run live: they read
+//!   the association graph and mutate the store and lineage;
+//! * **a changed sequence** regenerates the candidate set in full and joins
+//!   it against the stored pairs. The candidate set is never patched: a
+//!   bucket crossing the block-size limit makes pairs among *unchanged*
+//!   records appear or vanish, and only blocking knows. The join runs in
+//!   position space — [`align`] maps each new position to the old position
+//!   of the same record, both pair lists are sorted, one forward walk pairs
+//!   them up. A candidate takes the stored score only when both its ends are
+//!   aligned and the old pair was a candidate too; every other candidate is
+//!   scored. A score is a pure function of the two records, so which pairs
+//!   the join recovers moves a counter, never a value;
+//! * **what [`align`] guarantees** — the map is strictly increasing and
+//!   only ever pairs equal digests. Strictly increasing is what lets sorted
+//!   pairs stay sorted under it; equal digests is what makes a carried score
+//!   the score. It takes the earliest old position not yet passed, which
+//!   recovers every survivor of removed, replaced and appended records; a
+//!   record that moved far forward drags the cursor with it and the records
+//!   it jumped are rescored — a cost, not an error;
+//! * **eviction** — one live partition per concept, dropped when a pass
+//!   does not resolve the concept at all.
+//!
+//! [`content_digest`] is 64 bits: two different records colliding (~10⁻¹³
+//! per pass at ~10³ records) would carry one's scores to the other —
+//! accepted, as before.
 
 // woc-lint: allow-file(slice-index) — every index here comes from
 // enumerate() over the very slice being indexed (hit/miss bookkeeping), so
@@ -93,6 +106,7 @@ use std::sync::Arc;
 use woc_extract::ExtractedRecord;
 use woc_index::{DocId, InvertedIndex, LrecIndex};
 use woc_lrec::{ConceptId, Lrec, LrecId, Store};
+use woc_matching::blocking_keys;
 use woc_textkit::tokenize::tokenize_words;
 use woc_textkit::Fnv1a;
 use woc_webgen::{Page, WebCorpus};
@@ -102,7 +116,7 @@ use crate::trust::Claim;
 
 /// Id-free content digest of a record: its concept plus every attribute's
 /// entries (values and provenance), excluding the record id itself. Keyed
-/// this way, pair-score memos survive id renumbering across epochs — a
+/// this way, carried pair scores survive id renumbering across epochs — a
 /// closed restaurant shifts every later id, but surviving records keep
 /// their content digest. Valid only pre-merge (pipeline stage C), where
 /// records carry no `Ref` values that would embed ids. A 64-bit digest
@@ -119,18 +133,6 @@ pub(crate) fn content_digest(rec: &Lrec) -> u64 {
         // a `format!` would have collected, without the `String`.
         write!(h, "{entries:?}").expect("invariant: hashing formatted output never fails");
         h.bytes(&[0xfe]);
-    }
-    h.finish()
-}
-
-/// Digest of a digest sequence behind its length — the concept-partition
-/// memo's key over a concept's record [`content_digest`]s. It keys a memo
-/// and nothing else: it never reaches a canonical rendering.
-pub(crate) fn digest_seq(digests: &[u64]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.u64(digests.len() as u64);
-    for &d in digests {
-        h.u64(d);
     }
     h.finish()
 }
@@ -184,17 +186,23 @@ pub(crate) struct TypedRecord {
     pub claims: Vec<Claim>,
     /// [`content_digest`] of `rec`, taken once when it was typed.
     pub digest: u64,
+    /// [`blocking_keys`] of `rec`, taken once when it was typed: stage C
+    /// blocks on these as long as the record is the version typed here.
+    pub block_keys: Vec<String>,
 }
 
 impl TypedRecord {
-    /// Wrap a freshly typed record, taking its content digest.
+    /// Wrap a freshly typed record, taking its content digest and its
+    /// blocking keys.
     pub(crate) fn new(rec: Lrec, op: &'static str, claims: Vec<Claim>) -> Self {
         let digest = content_digest(&rec);
+        let block_keys = blocking_keys(&rec);
         Self {
             rec: Arc::new(rec),
             op,
             claims,
             digest,
+            block_keys,
         }
     }
 }
@@ -208,8 +216,10 @@ pub(crate) type TypedPage = Arc<Vec<TypedRecord>>;
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// `Page::fingerprint` calls charged to this pass: every page
-    /// [`BuildCaches::fingerprint_pages`] swept since the previous pass
-    /// began — `corpus.len()` when the caller makes one sweep per pass.
+    /// [`BuildCaches::fingerprint_pages`] had to hash since the previous
+    /// pass began. A corpus keeps the fingerprints of the pages it holds,
+    /// so this is `corpus.len()` for a crawl handed over as a new corpus
+    /// and the number of replaced or added pages for one edited in place.
     pub pages_fingerprinted: usize,
     /// Pages whose extraction was recomputed (fingerprint cache miss).
     pub pages_reextracted: usize,
@@ -337,8 +347,39 @@ struct DocIndexCache {
 }
 
 /// One concept's scored candidate pairs `(i, j, score)`, `i < j` positions
-/// in the concept's record sequence. Shared, not re-cloned, on hits.
+/// in the concept's record sequence, sorted by `(i, j)`. Shared, not
+/// re-cloned, on hits.
 pub(crate) type ScoredPairs = Arc<Vec<(usize, usize, f64)>>;
+
+/// One concept as stage C last resolved it: the record sequence and its
+/// scored candidate pairs (see the module docs).
+#[derive(Debug)]
+struct Partition {
+    /// [`content_digest`] of each record, in `by_concept` order.
+    digests: Vec<u64>,
+    /// The candidate pairs over those positions, with their scores.
+    scored: ScoredPairs,
+}
+
+/// For each position of `new`, the position of the same record in `old`:
+/// the earliest old position not yet passed that holds the same digest, or
+/// `None`. The map is strictly increasing over the positions it maps, and
+/// maps equal digests only (see the module docs for what rests on each).
+fn align(old: &[u64], new: &[u64]) -> Vec<Option<usize>> {
+    let mut by_digest: Vec<(u64, usize)> = old.iter().copied().zip(0..).collect();
+    by_digest.sort_unstable();
+    let mut cursor = 0usize;
+    new.iter()
+        .map(|&digest| {
+            let at = by_digest.partition_point(|&entry| entry < (digest, cursor));
+            let &(found, pos) = by_digest.get(at)?;
+            (found == digest).then(|| {
+                cursor = pos + 1;
+                pos
+            })
+        })
+        .collect()
+}
 
 /// Memo caches carried across [`crate::pipeline::build_with_caches`] runs
 /// by an incremental-maintenance engine.
@@ -349,14 +390,9 @@ pub struct BuildCaches {
     extract: Memo<u64, Arc<Vec<ExtractedRecord>>>,
     /// (page fingerprint, first record id) → the page's typed records.
     typed: Memo<(u64, LrecId), TypedPage>,
-    /// (concept, left content digest, right content digest) → match score.
-    scores: Memo<(u32, u64, u64), f64>,
-    /// (concept, record-sequence digest) → the concept's scored candidate
-    /// pairs in position space (see the module docs).
-    partitions: Memo<(u32, u64), ScoredPairs>,
-    /// Concepts whose partition hit this pass: their pair-score entries
-    /// went unprobed and are exempt from this pass's eviction.
-    quiet_concepts: Vec<u32>,
+    /// concept → its record sequence and scored candidate pairs as last
+    /// resolved — the one entity-resolution memo (see the module docs).
+    partitions: Memo<u32, Arc<Partition>>,
     /// (page fingerprint, target-name-set digest) → matched names.
     mentions: Memo<(u64, u64), Arc<Vec<String>>>,
     /// page fingerprint → normalized "also bought" anchor names.
@@ -380,22 +416,28 @@ impl BuildCaches {
         &self.stats
     }
 
-    /// The content fingerprint of every page of `corpus`, in page order
-    /// (sharded over `threads`, 0 = all cores) — the one place a cached pass
-    /// calls [`Page::fingerprint`]. The caller diffs the result for change
-    /// detection and hands the same vector to
+    /// The content fingerprint of every page of `corpus`, in page order.
+    /// The corpus keeps the fingerprint of each page it holds
+    /// (`woc_webgen::corpus`), so only pages it has not hashed yet — new or
+    /// replaced since this corpus was last swept — are hashed here (sharded
+    /// over `threads`, 0 = all cores), and only those are charged to
+    /// [`CacheStats::pages_fingerprinted`]. The caller diffs the result for
+    /// change detection and hands the same vector to
     /// [`crate::pipeline::build_with_caches`], which keys every per-page
     /// memo on it instead of fingerprinting again.
     pub fn fingerprint_pages(&mut self, corpus: &WebCorpus, threads: usize) -> Vec<u64> {
-        self.fingerprinted += corpus.len();
-        shard_map(corpus.pages(), resolve_threads(threads), Page::fingerprint)
+        let empty = corpus.unfingerprinted();
+        self.fingerprinted += empty.len();
+        shard_map(&empty, resolve_threads(threads), |&i| {
+            corpus.kept_fingerprint(i)
+        });
+        corpus.page_fingerprints()
     }
 
     /// Start a pass: bump the generation (entries reused during the pass
     /// are re-tagged with it) and reset the per-pass counters.
     pub(crate) fn begin_pass(&mut self) {
         self.generation += 1;
-        self.quiet_concepts.clear();
         self.stats = CacheStats {
             pages_fingerprinted: std::mem::take(&mut self.fingerprinted),
             ..CacheStats::default()
@@ -404,16 +446,9 @@ impl BuildCaches {
 
     /// End a pass: evict every memo entry the pass did not touch, so
     /// content that vanished from the corpus does not accumulate forever.
-    /// Pair scores of a concept whose partition hit stay (see the module
-    /// docs): the pass never probed them, and the next change in that
-    /// concept will.
     pub(crate) fn end_pass(&mut self) {
         self.extract.evict(self.generation);
         self.typed.evict(self.generation);
-        let (generation, quiet) = (self.generation, &self.quiet_concepts);
-        self.scores
-            .table
-            .retain(|key, e| e.generation == generation || quiet.contains(&key.0));
         self.partitions.evict(self.generation);
         self.mentions.evict(self.generation);
         self.also.evict(self.generation);
@@ -485,43 +520,15 @@ impl BuildCaches {
             .0
     }
 
-    /// Memoized pair scoring for one concept. `digests[i]` is the id-free
-    /// content digest of record `i`; `score(i, j)` computes a miss.
-    fn memo_scores(
-        &mut self,
-        concept: u32,
-        digests: &[u64],
-        pairs: &[(usize, usize)],
-        threads: usize,
-        score: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> Vec<(usize, usize, f64)> {
-        let keys: Vec<(u32, u64, u64)> = pairs
-            .iter()
-            .map(|&(i, j)| (concept, digests[i], digests[j]))
-            .collect();
-        let (scores, misses) = self
-            .scores
-            .get_or_compute(self.generation, &keys, threads, |n| {
-                let (i, j) = pairs[n];
-                score(i, j)
-            });
-        self.stats.pairs_rescored += misses;
-        self.stats.score_hits += pairs.len() - misses;
-        pairs
-            .iter()
-            .zip(scores)
-            .map(|(&(i, j), s)| (i, j, s))
-            .collect()
-    }
-
     /// Memoized entity-resolution input for one concept: its scored
     /// candidate pairs. `digests[i]` is the id-free content digest of
-    /// record `i` of the concept's record sequence. When the same sequence
-    /// was resolved before, the stored pairs come back and neither `block`
-    /// nor `score` runs; otherwise `block()` generates the candidate pairs
-    /// and [`Self::memo_scores`] scores them pair by pair. See the module
-    /// docs for the key, the position-space value and the eviction
-    /// exemption a hit grants.
+    /// record `i` of the concept's record sequence. When the sequence is
+    /// the one resolved last, the stored pairs come back and neither
+    /// `block` nor `score` runs. Otherwise `block()` generates the candidate
+    /// pairs — sorted by `(i, j)`, as blocking emits them — and each takes
+    /// its score from the stored partition where [`align`] finds both its
+    /// records and the old pair was a candidate; `score(i, j)` computes the
+    /// rest, sharded. See the module docs.
     pub(crate) fn memo_partition(
         &mut self,
         concept: u32,
@@ -530,15 +537,63 @@ impl BuildCaches {
         block: impl FnOnce() -> Vec<(usize, usize)>,
         score: impl Fn(usize, usize) -> f64 + Sync,
     ) -> ScoredPairs {
-        let key = (concept, digest_seq(digests));
-        if let Some(scored) = self.partitions.get(self.generation, &key) {
-            self.stats.score_hits += scored.len();
-            self.quiet_concepts.push(concept);
-            return scored;
+        let previous = self.partitions.get(self.generation, &concept);
+        if let Some(same) = previous.as_ref().filter(|p| p.digests == digests) {
+            self.stats.score_hits += same.scored.len();
+            return Arc::clone(&same.scored);
         }
-        let scored = Arc::new(self.memo_scores(concept, digests, &block(), threads, score));
-        self.partitions
-            .put(self.generation, key, Arc::clone(&scored));
+        let pairs = block();
+        debug_assert!(
+            pairs.is_sorted(),
+            "blocking emits sorted pairs; the join walks them in order"
+        );
+        let mut scores: Vec<Option<f64>> = vec![None; pairs.len()];
+        if let Some(previous) = &previous {
+            // Merge-join in position space: `old_of` is strictly increasing,
+            // so the candidates it maps arrive in the stored pairs' order
+            // and one cursor over those suffices.
+            let old_of = align(&previous.digests, digests);
+            let mut stored = previous.scored.iter().peekable();
+            for (&(i, j), slot) in pairs.iter().zip(&mut scores) {
+                let (Some(Some(old_i)), Some(Some(old_j))) = (old_of.get(i), old_of.get(j)) else {
+                    continue;
+                };
+                let old_pair = (*old_i, *old_j);
+                while stored.next_if(|&&(a, b, _)| (a, b) < old_pair).is_some() {}
+                *slot = stored
+                    .next_if(|&&(a, b, _)| (a, b) == old_pair)
+                    .map(|&(_, _, carried)| carried);
+            }
+        }
+        let missing: Vec<(usize, usize)> = pairs
+            .iter()
+            .zip(&scores)
+            .filter(|(_, carried)| carried.is_none())
+            .map(|(&pair, _)| pair)
+            .collect();
+        let mut computed = shard_map(&missing, threads, |&(i, j)| score(i, j)).into_iter();
+        self.stats.pairs_rescored += missing.len();
+        self.stats.score_hits += pairs.len() - missing.len();
+        let scored: ScoredPairs = Arc::new(
+            pairs
+                .iter()
+                .zip(scores)
+                .map(|(&(i, j), carried)| {
+                    let s = carried
+                        .or_else(|| computed.next())
+                        .expect("invariant: every candidate is either carried or freshly scored");
+                    (i, j, s)
+                })
+                .collect(),
+        );
+        self.partitions.put(
+            self.generation,
+            concept,
+            Arc::new(Partition {
+                digests: digests.to_vec(),
+                scored: Arc::clone(&scored),
+            }),
+        );
         scored
     }
 
@@ -718,38 +773,10 @@ impl BuildCaches {
 mod tests {
     use super::*;
 
-    #[test]
-    fn eviction_drops_untouched_entries() {
-        let mut c = BuildCaches::new();
-        c.begin_pass();
-        let _ = c.memo_scores(0, &[10, 20], &[(0, 1)], 1, |_, _| 1.5);
-        assert_eq!(c.stats().pairs_rescored, 1);
-        // Next pass touches a different pair: the old entry must be evicted.
-        c.begin_pass();
-        let _ = c.memo_scores(0, &[30, 40], &[(0, 1)], 1, |_, _| 2.5);
-        c.end_pass();
-        assert_eq!(c.scores.table.len(), 1);
-        // The surviving key is the touched one.
-        assert!(c.scores.table.contains_key(&(0, 30, 40)));
-    }
-
-    #[test]
-    fn score_memo_hits_are_returned_verbatim() {
-        let mut c = BuildCaches::new();
-        c.begin_pass();
-        let first = c.memo_scores(7, &[1, 2, 3], &[(0, 1), (1, 2)], 1, |i, j| (i + j) as f64);
-        c.begin_pass();
-        // Same digests: the scorer must not be consulted at all.
-        let second = c.memo_scores(7, &[1, 2, 3], &[(0, 1), (1, 2)], 1, |_, _| f64::NAN);
-        assert_eq!(first, second);
-        assert_eq!(c.stats().score_hits, 2);
-        assert_eq!(c.stats().pairs_rescored, 0);
-    }
-
     /// Three hand-built records whose digests were taken at the commit
     /// before `content_digest` stopped rendering through a `String`: the
     /// streamed rendering must hash to the same values, or every warm
-    /// pair-score memo would go cold.
+    /// partition would go cold.
     #[test]
     fn content_digest_values_are_pinned() {
         use woc_lrec::{AttrValue, Provenance, Tick};
@@ -860,44 +887,163 @@ mod tests {
         assert!(blocked);
     }
 
+    /// The properties of [`align`] the join rests on, for any input:
+    /// strictly increasing, equal digests only.
+    fn assert_sound(old: &[u64], new: &[u64], map: &[Option<usize>]) {
+        assert_eq!(map.len(), new.len());
+        let mapped: Vec<usize> = map.iter().flatten().copied().collect();
+        assert!(mapped.windows(2).all(|w| w[0] < w[1]), "{map:?}");
+        for (n, o) in map.iter().enumerate() {
+            if let Some(o) = *o {
+                assert_eq!(old[o], new[n], "position {n} -> {o}");
+            }
+        }
+    }
+
     #[test]
-    fn partition_hit_keeps_its_pair_scores_through_eviction() {
+    fn align_recovers_survivors_and_is_always_sound() {
+        let old = [10, 20, 30, 40, 50, 60];
+        let same = align(&old, &old);
+        assert_eq!(same, (0..6).map(Some).collect::<Vec<_>>(), "identity");
+
+        // A removed block, a replaced record and an append: every survivor
+        // is found.
+        let new = [10, 40, 55, 60, 70];
+        let map = align(&old, &new);
+        assert_sound(&old, &new, &map);
+        assert_eq!(map, vec![Some(0), Some(3), None, Some(5), None]);
+
+        // Duplicate digests take successive positions.
+        let (old, new) = ([7, 7, 8, 7], [7, 7, 7, 7]);
+        let map = align(&old, &new);
+        assert_sound(&old, &new, &map);
+        assert_eq!(map, vec![Some(0), Some(1), Some(3), None]);
+
+        // A record that moved to the front drags the cursor past everything
+        // it jumped: matches are lost, the map stays sound.
+        let (old, new) = ([1, 2, 3, 4], [4, 1, 2, 3]);
+        let map = align(&old, &new);
+        assert_sound(&old, &new, &map);
+        assert_eq!(map, vec![Some(3), None, None, None]);
+
+        assert!(align(&[], &[1, 2]).iter().all(Option::is_none));
+        assert!(align(&[1, 2], &[]).is_empty());
+    }
+
+    /// Every pair over `n` positions, sorted — one bucket holding everyone.
+    fn all_pairs(n: usize) -> Vec<(usize, usize)> {
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect()
+    }
+
+    /// Resolve a partition whose candidates are all pairs, scored
+    /// `100·digest_i + digest_j` so a carried score is recognisably the
+    /// score of the same two records; returns the scored pairs and the
+    /// digest pairs the scorer was asked about.
+    fn resolve_all_pairs(c: &mut BuildCaches, digests: &[u64]) -> (ScoredPairs, Vec<(u64, u64)>) {
+        let scored_now = std::sync::Mutex::new(Vec::new());
+        let n = digests.len();
+        let scored = c.memo_partition(
+            3,
+            digests,
+            1,
+            || all_pairs(n),
+            |i, j| {
+                scored_now.lock().unwrap().push((digests[i], digests[j]));
+                (100 * digests[i] + digests[j]) as f64
+            },
+        );
+        for &(i, j, s) in scored.iter() {
+            assert_eq!(s, (100 * digests[i] + digests[j]) as f64, "pair ({i}, {j})");
+        }
+        (scored, scored_now.into_inner().unwrap())
+    }
+
+    #[test]
+    fn partition_join_scores_only_pairs_touching_a_changed_record() {
         let mut c = BuildCaches::new();
         c.begin_pass();
-        resolve_partition(&mut c, &[1, 2, 3], |_, _| 1.0);
-        let _ = c.memo_scores(9, &[7, 8], &[(0, 1)], 1, |_, _| 2.0);
+        let (_, fresh) = resolve_all_pairs(&mut c, &[1, 2, 3, 4]);
+        assert_eq!(fresh.len(), 6);
         c.end_pass();
-        assert_eq!(c.scores.table.len(), 3);
 
-        // A quiet pass for concept 3: the partition hits, so no pair entry
-        // is probed — and none of concept 3's may be evicted for it.
-        // Concept 9 is gone from the corpus; its entry goes as before.
+        // Record 3 rewritten to 9: the three pairs touching it are scored,
+        // the other three carried.
         c.begin_pass();
-        resolve_partition(&mut c, &[1, 2, 3], |_, _| panic!("quiet"));
+        let (scored, fresh) = resolve_all_pairs(&mut c, &[1, 2, 9, 4]);
+        assert_eq!(fresh, vec![(1, 9), (2, 9), (9, 4)]);
+        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (3, 3));
+        assert_eq!(scored.len(), 6);
         c.end_pass();
-        assert_eq!(c.scores.table.len(), 2);
-        assert!(c.scores.table.contains_key(&(3, 1, 2)));
-        assert!(c.scores.table.contains_key(&(3, 2, 3)));
 
-        // The first change after the quiet pass rescores only what is new
-        // — a record 4 arrived; pairs (1, 2) and (2, 3) were kept for this.
+        // Record 1 removed: nothing is scored, and the carried pairs are
+        // renumbered to the new positions.
         c.begin_pass();
-        resolve_partition(&mut c, &[1, 2, 3, 4], |_, _| 1.0);
-        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (1, 2));
+        let (scored, fresh) = resolve_all_pairs(&mut c, &[2, 9, 4]);
+        assert!(fresh.is_empty());
+        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (0, 3));
+        assert_eq!(*scored, vec![(0, 1, 209.0), (0, 2, 204.0), (1, 2, 904.0)]);
         c.end_pass();
-        assert_eq!(c.scores.table.len(), 3);
 
-        // A miss probes every live pair, so the exemption lapses with it
-        // and plain generation tagging drops what left the partition.
+        // An appended record pairs with everyone; nothing else is scored.
         c.begin_pass();
-        resolve_partition(&mut c, &[2, 3, 4], |_, _| panic!("all pairs known"));
+        let (_, fresh) = resolve_all_pairs(&mut c, &[2, 9, 4, 5]);
+        assert_eq!(fresh, vec![(2, 5), (9, 5), (4, 5)]);
         c.end_pass();
-        assert_eq!(c.scores.table.len(), 2, "(1, 2) left with record 1");
         assert_eq!(
             c.partitions.table.len(),
             1,
             "one live partition per concept"
         );
+    }
+
+    #[test]
+    fn partition_join_scores_a_pair_that_becomes_a_candidate() {
+        // Blocking as a bucket of everyone under a size limit of 3: with
+        // four records the bucket is oversized and pairs nothing; when one
+        // leaves, the pairs among the *unchanged* three appear. They were
+        // never candidates, so they have no stored score to carry.
+        let bucket = |n: usize| if n > 3 { Vec::new() } else { all_pairs(n) };
+        let mut c = BuildCaches::new();
+        c.begin_pass();
+        let first = c.memo_partition(3, &[1, 2, 3, 4], 1, || bucket(4), |_, _| panic!("no pairs"));
+        assert!(first.is_empty());
+        c.end_pass();
+        c.begin_pass();
+        let second = c.memo_partition(3, &[1, 2, 3], 1, || bucket(3), |i, j| (i + j) as f64);
+        assert_eq!(*second, vec![(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)]);
+        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (3, 0));
+        c.end_pass();
+        // And the reverse: the bucket grows past the limit, the stored pairs
+        // are not candidates any more and are not carried anywhere.
+        c.begin_pass();
+        let third = c.memo_partition(3, &[1, 2, 3, 4], 1, || bucket(4), |_, _| panic!("no pairs"));
+        assert!(third.is_empty());
+        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (0, 0));
+    }
+
+    #[test]
+    fn a_concept_absent_for_a_pass_is_evicted() {
+        let mut c = BuildCaches::new();
+        c.begin_pass();
+        resolve_partition(&mut c, &[1, 2, 3], |_, _| 1.0);
+        c.memo_partition(9, &[7, 8], 1, || vec![(0, 1)], |_, _| 2.0);
+        c.end_pass();
+        assert_eq!(c.partitions.table.len(), 2);
+
+        // Concept 9 is not resolved this pass: its partition goes, concept
+        // 3's — a hit — stays.
+        c.begin_pass();
+        resolve_partition(&mut c, &[1, 2, 3], |_, _| panic!("a hit"));
+        c.end_pass();
+        assert_eq!(c.partitions.table.len(), 1);
+        assert!(c.partitions.table.contains_key(&3));
+
+        // When it returns, everything is scored again.
+        c.begin_pass();
+        c.memo_partition(9, &[7, 8], 1, || vec![(0, 1)], |_, _| 2.0);
+        assert_eq!((c.stats().pairs_rescored, c.stats().score_hits), (1, 0));
     }
 
     fn typed(id: u64, name: &str) -> TypedRecord {
@@ -1075,7 +1221,11 @@ mod tests {
         assert_eq!(fps, expected, "page order, same values");
         assert_eq!(c.fingerprint_pages(&corpus, 1), expected);
         c.begin_pass();
-        assert_eq!(c.stats().pages_fingerprinted, 6);
+        assert_eq!(
+            c.stats().pages_fingerprinted,
+            3,
+            "the second sweep read the corpus's kept fingerprints"
+        );
         c.begin_pass();
         assert_eq!(c.stats().pages_fingerprinted, 0);
     }

@@ -19,7 +19,7 @@ use woc_index::{InvertedIndex, LrecIndex, MergePolicy, SegmentedLrecIndex};
 use woc_lrec::domains::{standard_registry, StandardConcepts};
 use woc_lrec::value::Date;
 use woc_lrec::{AttrValue, ConceptId, ConceptRegistry, Lrec, LrecId, Provenance, Store, Tick};
-use woc_matching::{candidate_pairs_sharded, CollectiveConfig, FellegiSunter, GenerativeMatcher};
+use woc_matching::{candidate_pairs_from_keys, CollectiveConfig, FellegiSunter, GenerativeMatcher};
 use woc_textkit::gazetteer;
 use woc_textkit::recognize::{self, FieldKind};
 use woc_textkit::tokenize::normalize;
@@ -614,9 +614,9 @@ pub fn build_with_caches(
     // Which site asserted each record, so a distrusted site's records can
     // be scrubbed before entity resolution sees them.
     let mut record_sites: Vec<(LrecId, String)> = Vec::new();
-    // `content_digest` of every created record, by id: the store starts
-    // empty, so stage B's ids are 0, 1, 2, … in creation order.
-    let mut record_digests: Vec<u64> = Vec::new();
+    // Every page's typed records, kept for stage C: it reads each record's
+    // digest and blocking keys as typed.
+    let mut typed_pages: Vec<memo::TypedPage> = Vec::new();
     for (i, (page, recs)) in pages.iter().zip(&extracted).enumerate() {
         if recs.is_empty() {
             continue;
@@ -641,9 +641,12 @@ pub fn build_with_caches(
             web.associate(id, &page.url, AssocKind::ExtractedFrom);
             created.push(id);
             record_sites.push((id, page.site.clone()));
-            record_digests.push(t.digest);
         }
+        typed_pages.push(typed);
     }
+    // By id: the store starts empty, so stage B's ids are 0, 1, 2, … in
+    // creation order.
+    let typed_by_id: Vec<&TypedRecord> = typed_pages.iter().flat_map(|p| p.iter()).collect();
     report.lrecs_extracted = created.len();
     report.stage_done("records", created.len(), &mut t0);
 
@@ -707,8 +710,28 @@ pub fn build_with_caches(
                     .expect("invariant: by_concept() yields live ids")
             })
             .collect();
-        let refs: Vec<&Lrec> = recs.iter().map(|r| &**r).collect();
-        let block = || candidate_pairs_sharded(&refs, 200, threads);
+        // Every record of the concept is still the version stage B
+        // inserted, so the digest and the blocking keys it was typed with
+        // are current.
+        let typed: Vec<&TypedRecord> = ids
+            .iter()
+            .map(|id| {
+                *typed_by_id
+                    .get(id.0 as usize)
+                    .expect("invariant: stage B types every record it creates")
+            })
+            .collect();
+        debug_assert!(
+            typed
+                .iter()
+                .zip(&recs)
+                .all(|(t, rec)| t.block_keys == woc_matching::blocking_keys(rec)),
+            "a {cname} record changed between stage B and its resolution"
+        );
+        let block = || {
+            let keys: Vec<&[String]> = typed.iter().map(|t| t.block_keys.as_slice()).collect();
+            candidate_pairs_from_keys(&keys, 200)
+        };
         let fs = scorer_for(cname);
         let scored: memo::ScoredPairs = match caches.as_deref_mut() {
             Some(c) => {
@@ -716,17 +739,8 @@ pub fn build_with_caches(
                 // exist, so they are pure functions of extracted content —
                 // stable under the id renumbering a removed page causes.
                 // Blocking and scoring read nothing else, so a concept
-                // whose digest sequence is unchanged skips both. Every
-                // record of the concept is still the version stage B
-                // inserted, so the digest it was typed with is current.
-                let digests: Vec<u64> = ids
-                    .iter()
-                    .map(|id| {
-                        *record_digests
-                            .get(id.0 as usize)
-                            .expect("invariant: stage B digests every record it creates")
-                    })
-                    .collect();
+                // whose digest sequence is unchanged skips both.
+                let digests: Vec<u64> = typed.iter().map(|t| t.digest).collect();
                 c.memo_partition(cid.0, &digests, threads, block, |i, j| {
                     fs.score(&recs[i], &recs[j])
                 })

@@ -8,9 +8,11 @@
 //! 1. **Change detection** — every page gets a stable content fingerprint
 //!    ([`woc_webgen::Page::fingerprint`]); [`IncrEngine::changes`] diffs the
 //!    fingerprints of a fresh crawl against the previous epoch's into a
-//!    [`ChangeSet`] of dirty, added and removed pages. A maintenance pass
-//!    fingerprints each page once: the vector it diffs is the one the
-//!    replay keys its per-page memos on.
+//!    [`ChangeSet`] of dirty, added and removed pages. A page is
+//!    fingerprinted once per corpus that holds it — a `WebCorpus` keeps the
+//!    fingerprints of its pages, so a crawl edited in place costs only its
+//!    replaced pages — and the vector a pass diffs is the one the replay
+//!    keys its per-page memos on.
 //! 2. **Dirty-set propagation** — the lineage DAG maps dirty pages to the
 //!    records derived from them ([`woc_core::Lineage::records_from_document`]);
 //!    the pass reports the affected partition and which records are
@@ -21,10 +23,12 @@
 //!    scanning and index construction are content-keyed memos, so only work
 //!    downstream of the dirty set is recomputed, and index postings are
 //!    patched in place ([`woc_index::InvertedIndex::replace_doc`]) rather
-//!    than rebuilt. Entity resolution is memoized per concept as well: a
-//!    concept no dirty page reaches — its record sequence digests to the
-//!    same key — skips blocking and every pair probe (the concept-partition
-//!    memo, `woc_core::memo`). Because every memo is a pure-function memo, the
+//!    than rebuilt. Entity resolution is memoized per concept: a concept no
+//!    dirty page reaches — its record sequence is unchanged — skips
+//!    blocking and scoring, and one a dirty page does reach blocks afresh
+//!    and carries every pair score its previous partition already holds
+//!    (the concept-partition memo, `woc_core::memo`;
+//!    [`MaintainReport::pairs_carried`]). Because every memo is a pure-function memo, the
 //!    maintained web is **byte-identical** to a from-scratch rebuild at the
 //!    same epoch — [`canonical_bytes`] is the oracle the equivalence tests
 //!    and the `incr-equivalence` CI gate compare with. Consecutive epochs
@@ -103,9 +107,11 @@ pub struct MaintainReport {
     /// Pages whose fingerprint changed, plus added and removed pages.
     pub pages_dirty: usize,
     /// `Page::fingerprint` calls since the previous replay began, charged
-    /// to this one: `pages_scanned` when every pass replays — one sweep of
-    /// the crawl per pass. A short-circuited or rejected pass replays
-    /// nothing; its sweep is charged to the next replay.
+    /// to this one. A corpus keeps the fingerprint of each page it holds,
+    /// so a crawl handed over as a new `WebCorpus` costs `pages_scanned`
+    /// calls and one edited in place (`WebCorpus::add` / `remove`) only its
+    /// replaced and added pages. A short-circuited or rejected pass replays
+    /// nothing; what it hashed is charged to the next replay.
     pub pages_fingerprinted: usize,
     /// True when the change set was empty and the pass did nothing.
     pub short_circuited: bool,
@@ -126,6 +132,10 @@ pub struct MaintainReport {
     pub records_retyped: usize,
     /// Candidate pairs whose match score was actually recomputed.
     pub pairs_rescored: usize,
+    /// Candidate pairs whose score was carried over from the concept's
+    /// previous partition. After a pass that only removed pages
+    /// `pairs_rescored` is 0 and this is every surviving candidate.
+    pub pairs_carried: usize,
     /// Pages re-scanned for record mentions.
     pub mention_pages_rescanned: usize,
     /// `(term, doc)` postings removed or inserted by in-place index
@@ -270,8 +280,7 @@ impl IncrEngine {
     /// Layer 1 — change detection: diff `corpus` against the fingerprints
     /// of the engine's current epoch.
     pub fn changes(&self, corpus: &WebCorpus) -> ChangeSet {
-        let fps: Vec<u64> = corpus.pages().iter().map(|p| p.fingerprint()).collect();
-        self.changes_from(corpus, &fps)
+        self.changes_from(corpus, &corpus.page_fingerprints())
     }
 
     /// Change detection against the already-computed page-order
@@ -388,6 +397,7 @@ impl IncrEngine {
         report.records_retyped = stats.records_retyped;
         report.record_tokens_recomputed = stats.record_tokens_recomputed;
         report.pairs_rescored = stats.pairs_rescored;
+        report.pairs_carried = stats.score_hits;
         report.mention_pages_rescanned = stats.mention_pages_rescanned;
         report.postings_patched = stats.postings_patched;
         report.record_index_rebuilt = stats.record_index_rebuilt;

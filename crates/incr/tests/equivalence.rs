@@ -491,6 +491,109 @@ fn untouched_records_are_shared_between_epochs() {
     assert_equivalent(&engine, &corpus, &config, "a removal that renumbers ids");
 }
 
+/// The same one-restaurant edit handed over twice: as a regenerated crawl —
+/// a different `WebCorpus`, so every page is fingerprinted — and applied in
+/// place to the corpus the engine saw last, page by page, as a crawler's
+/// delta or the stream's commit stage does — so only the replaced pages
+/// are. Both engines carry an earlier pass; a control built cold on the
+/// previous crawl says what the edit costs when every pair score is fresh.
+/// Same bytes as a rebuild, same pair work, either way.
+#[test]
+fn an_edit_costs_the_same_regenerated_or_applied_in_place() {
+    let mut world = World::generate(WorldConfig::tiny(507));
+    let corpus_cfg = CorpusConfig::tiny(57);
+    let config = pipeline(0);
+    let mut crawls = vec![generate_corpus(&world, &corpus_cfg)];
+    for (round, &id) in world.restaurants.clone().iter().take(2).enumerate() {
+        let tick = Tick(10 + round as u64);
+        world
+            .store
+            .update(id, tick, |r| {
+                r.set(
+                    "hours",
+                    AttrValue::Text(format!("{}am - {}pm", 6 + round, 9 + round)),
+                    Provenance::ground_truth(tick),
+                );
+            })
+            .expect("a live restaurant accepts a later-tick update");
+        crawls.push(generate_corpus(&world, &corpus_cfg));
+    }
+    let [v0, v1, v2] = &crawls[..] else {
+        unreachable!("three crawls")
+    };
+
+    let mut regenerated = IncrEngine::new(v0, config.clone());
+    let mut held = v0.clone();
+    let mut in_place = IncrEngine::new(&held, config.clone());
+    let mut reports = Vec::new();
+    for next in [v1, v2] {
+        let mut replaced = 0;
+        for page in next.pages() {
+            if held.get(&page.url) != Some(page) {
+                held.add(page.clone());
+                replaced += 1;
+            }
+        }
+        assert!(replaced > 0 && held.len() == next.len());
+        let whole = regenerated.maintain(next).expect("maintain must succeed");
+        let delta = in_place.maintain(&held).expect("maintain must succeed");
+        assert_eq!(whole.pages_dirty, replaced);
+        assert_eq!(
+            whole.pages_fingerprinted,
+            next.len(),
+            "a corpus seen for the first time"
+        );
+        assert_eq!(
+            (delta.pages_dirty, delta.pages_fingerprinted),
+            (replaced, replaced),
+            "a corpus edited in place hashes only the replaced pages"
+        );
+        reports.push((whole, delta));
+    }
+    assert_eq!(
+        canonical_bytes(regenerated.web()),
+        canonical_bytes(in_place.web())
+    );
+    assert_equivalent(&in_place, &held, &config, "an edit applied in place");
+    assert_equivalent(&regenerated, v2, &config, "a regenerated crawl");
+
+    let mut control = IncrEngine::new(v1, config.clone());
+    let fresh = control.maintain(v2).expect("maintain must succeed");
+    let (whole, delta) = reports.last().expect("two passes ran");
+    assert!(
+        fresh.pairs_rescored > 0,
+        "the edited restaurant has candidate matches"
+    );
+    assert_eq!(whole.pairs_rescored, fresh.pairs_rescored);
+    assert_eq!(delta.pairs_rescored, fresh.pairs_rescored);
+    assert_eq!(
+        (whole.pairs_carried, delta.pairs_carried),
+        (fresh.pairs_carried, fresh.pairs_carried)
+    );
+
+    // A removed page changes no surviving record: nothing is rescored, and
+    // every candidate pair of the new web was carried.
+    let gone = held
+        .pages()
+        .iter()
+        .find(|p| p.truth.kind == PageKind::AggregatorBiz)
+        .expect("the tiny world has aggregator pages")
+        .url
+        .clone();
+    held.remove(&gone);
+    let report = in_place.maintain(&held).expect("maintain must succeed");
+    assert_eq!(
+        report.pages_fingerprinted, 0,
+        "a removal leaves no page to hash"
+    );
+    assert_eq!(
+        (report.pairs_rescored, report.pairs_carried),
+        (0, in_place.web().report.match_pairs_scored)
+    );
+    assert!(report.pairs_carried > 0);
+    assert_equivalent(&in_place, &held, &config, "a removal after in-place edits");
+}
+
 /// A cold build and a build through cold caches agree at any thread count,
 /// and so does a maintained pass on top: sharing records between epochs
 /// never depends on how the work was sharded.

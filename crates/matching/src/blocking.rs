@@ -45,37 +45,70 @@ pub fn candidate_pairs(records: &[&Lrec], max_block: usize) -> Vec<(usize, usize
     candidate_pairs_sharded(records, max_block, 1)
 }
 
-/// [`candidate_pairs`] with both expensive halves sharded across `threads`
-/// workers: key generation per record, then pair emission per key bucket.
-/// The final sort + dedup makes the result identical at any thread count.
+/// [`candidate_pairs`] with key generation — the expensive half — sharded
+/// across `threads` workers; the pairs come from
+/// [`candidate_pairs_from_keys`], so the result is identical at any thread
+/// count.
 pub fn candidate_pairs_sharded(
     records: &[&Lrec],
     max_block: usize,
     threads: usize,
 ) -> Vec<(usize, usize)> {
     let keys_per_rec: Vec<Vec<String>> = shard_map(records, threads, |r| blocking_keys(r));
-    let mut blocks: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, keys) in keys_per_rec.iter().enumerate() {
-        for k in keys {
-            blocks.entry(k.as_str()).or_default().push(i);
-        }
-    }
-    let buckets: Vec<Vec<usize>> = blocks
-        .into_values()
-        .filter(|m| m.len() <= max_block)
-        .collect();
-    let per_bucket: Vec<Vec<(usize, usize)>> = shard_map(&buckets, threads, |members| {
-        let mut pairs = Vec::with_capacity(members.len() * (members.len() - 1) / 2);
-        for (a, &i) in members.iter().enumerate() {
-            for &j in &members[a + 1..] {
-                pairs.push((i.min(j), i.max(j)));
+    let keys: Vec<&[String]> = keys_per_rec.iter().map(Vec::as_slice).collect();
+    candidate_pairs_from_keys(&keys, max_block)
+}
+
+/// Candidate pairs `(i, j)`, `i < j`, sorted and deduplicated, over records
+/// given by their blocking keys alone: `keys[i]` are record `i`'s. A key
+/// shared by more than `max_block` records pairs nothing. A key listed twice
+/// for one record counts once — a record is never its own partner.
+///
+/// Each record emits its partners above it — the later members of its
+/// buckets, a short list sorted on its own — so the output is globally
+/// sorted without sorting the whole pair set.
+pub fn candidate_pairs_from_keys(keys: &[&[String]], max_block: usize) -> Vec<(usize, usize)> {
+    // A bucket is its members — ascending, since records arrive in order —
+    // and how many of them the emission pass below has visited.
+    let mut bucket_of: HashMap<&str, usize> = HashMap::new();
+    let mut buckets: Vec<(Vec<usize>, usize)> = Vec::new();
+    let mut buckets_per_rec: Vec<Vec<usize>> = Vec::with_capacity(keys.len());
+    for (i, rec_keys) in keys.iter().enumerate() {
+        let mut own: Vec<usize> = Vec::with_capacity(rec_keys.len());
+        for k in rec_keys.iter() {
+            let b = *bucket_of.entry(k.as_str()).or_insert(buckets.len());
+            if b == buckets.len() {
+                buckets.push((Vec::new(), 0));
+            }
+            let Some((members, _)) = buckets.get_mut(b) else {
+                continue;
+            };
+            if members.last() != Some(&i) {
+                members.push(i);
+                own.push(b);
             }
         }
-        pairs
-    });
-    let mut out: Vec<(usize, usize)> = per_bucket.into_iter().flatten().collect();
-    out.sort_unstable();
-    out.dedup();
+        buckets_per_rec.push(own);
+    }
+    // The emission pass visits records in bucket order too, so a bucket's
+    // members above the current record are those past its visited count.
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    let mut partners: Vec<usize> = Vec::new();
+    for (i, own) in buckets_per_rec.iter().enumerate() {
+        partners.clear();
+        for &b in own {
+            let Some((members, visited)) = buckets.get_mut(b) else {
+                continue;
+            };
+            *visited += 1;
+            if members.len() <= max_block {
+                partners.extend_from_slice(members.get(*visited..).unwrap_or_default());
+            }
+        }
+        partners.sort_unstable();
+        partners.dedup();
+        out.extend(partners.iter().map(|&j| (i, j)));
+    }
     out
 }
 
@@ -165,6 +198,23 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             assert_eq!(candidate_pairs_sharded(&refs, 50, threads), serial);
         }
+    }
+
+    #[test]
+    fn a_doubled_key_never_pairs_a_record_with_itself() {
+        let key = |k: &str| vec![k.to_string()];
+        let doubled = vec!["tok:gochi".to_string(), "tok:gochi".to_string()];
+        let other = key("tok:gochi");
+        let third = key("tok:farolito");
+        let keys: Vec<&[String]> = vec![&doubled, &other, &third, &doubled];
+        assert_eq!(
+            candidate_pairs_from_keys(&keys, 50),
+            vec![(0, 1), (0, 3), (1, 3)]
+        );
+        // The doubled listing does not count twice against the block limit
+        // either: three records share the key.
+        assert_eq!(candidate_pairs_from_keys(&keys, 3).len(), 3);
+        assert!(candidate_pairs_from_keys(&keys, 2).is_empty());
     }
 
     #[test]

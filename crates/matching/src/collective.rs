@@ -10,8 +10,6 @@
 //! happen, accepting one pair can push another pair over the threshold on
 //! the next round; iteration runs to fixpoint.
 
-use std::collections::HashSet;
-
 use crate::cluster::UnionFind;
 
 /// Configuration of the collective-resolution loop.
@@ -35,12 +33,23 @@ impl Default for CollectiveConfig {
     }
 }
 
-/// Jaccard overlap of two cluster-id sets.
-fn cluster_jaccard(a: &HashSet<usize>, b: &HashSet<usize>) -> f64 {
+/// Jaccard overlap of two cluster-id sets, each a sorted, deduplicated
+/// list: the intersection is counted by one merge walk.
+fn cluster_jaccard(a: &[usize], b: &[usize]) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let inter = a.intersection(b).count();
+    let (mut rest_a, mut rest_b) = (a.iter().peekable(), b.iter().peekable());
+    let mut inter = 0usize;
+    while let (Some(&&x), Some(&&y)) = (rest_a.peek(), rest_b.peek()) {
+        if x <= y {
+            rest_a.next();
+        }
+        if y <= x {
+            rest_b.next();
+        }
+        inter += usize::from(x == y);
+    }
     let union = a.len() + b.len() - inter;
     inter as f64 / union as f64
 }
@@ -60,24 +69,29 @@ pub fn resolve_collective(
 ) -> (UnionFind, usize) {
     assert_eq!(neighbors.len(), n);
     let mut uf = UnionFind::new(n);
-    let mut merged: HashSet<(usize, usize)> = HashSet::new();
     let mut iters = 0;
     for round in 1..=config.max_iters {
         iters = round;
         // Snapshot neighbor clusters for this round.
-        let neighbor_clusters: Vec<HashSet<usize>> = (0..n)
-            .map(|i| neighbors[i].iter().map(|&j| uf.find(j)).collect())
+        let neighbor_clusters: Vec<Vec<usize>> = neighbors
+            .iter()
+            .map(|of_i| {
+                let mut clusters: Vec<usize> = of_i.iter().map(|&j| uf.find(j)).collect();
+                clusters.sort_unstable();
+                clusters.dedup();
+                clusters
+            })
             .collect();
         let mut changed = false;
         for &(i, j, base) in candidates {
-            if merged.contains(&(i, j)) || uf.same(i, j) {
+            // A pair merged in an earlier round is still in one cluster.
+            if uf.same(i, j) {
                 continue;
             }
             let rel = cluster_jaccard(&neighbor_clusters[i], &neighbor_clusters[j]);
             let score = base + config.relational_weight * rel;
             if score >= config.accept {
                 uf.union(i, j);
-                merged.insert((i, j));
                 changed = true;
             }
         }

@@ -27,7 +27,10 @@ pub mod shard;
 pub mod simvec;
 pub mod textmatch;
 
-pub use blocking::{blocking_keys, blocking_recall, candidate_pairs, candidate_pairs_sharded};
+pub use blocking::{
+    blocking_keys, blocking_recall, candidate_pairs, candidate_pairs_from_keys,
+    candidate_pairs_sharded,
+};
 pub use cluster::{pairwise_prf, pairwise_prf_sharded, UnionFind};
 pub use collective::{resolve_collective, resolve_pairwise, CollectiveConfig};
 pub use fellegi::{AttrParams, Decision, FellegiSunter};

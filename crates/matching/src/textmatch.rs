@@ -7,17 +7,40 @@
 //! maximizing the text's likelihood wins. A TF-IDF cosine baseline is
 //! provided for experiment S5's comparison.
 
+use std::collections::HashMap;
+
 use woc_lrec::{Lrec, LrecId};
 use woc_textkit::lm::UnigramLm;
 use woc_textkit::tokenize::tokenize_words;
 use woc_textkit::{CorpusStats, TfIdf};
 
 /// The generative text-to-record matcher.
+///
+/// [`Self::match_text`] scores through an inverted index instead of asking
+/// every model about every token. Two identities make that the *same*
+/// arithmetic, not an approximation (DESIGN.md §6):
+///
+/// * a non-empty model gives a token it never observed `λ·(0/N) + (1−λ)/V`,
+///   and `λ·0 + x == x` exactly — so that term is one number per token,
+///   whatever the model, and only the models a posting list names need a
+///   term of their own;
+/// * float addition is not associative, so every model that has a term of
+///   its own re-folds all its terms left to right with the same
+///   `Iterator::sum` the per-model evaluation uses — never "common sum plus
+///   corrections".
+///
+/// [`Self::match_text_reference`] is the per-model evaluation, kept as the
+/// oracle: debug builds compare every result against it bit for bit.
 #[derive(Debug)]
 pub struct GenerativeMatcher {
     ids: Vec<LrecId>,
     models: Vec<UnigramLm>,
     background: UnigramLm,
+    /// token → the models that observed it (ascending), each with the
+    /// probability it gives the token.
+    postings: HashMap<String, Vec<(usize, f64)>>,
+    /// What every non-empty model gives a token it never observed.
+    unseen: f64,
     /// Weight on the record model vs the background (the α of DESIGN.md §6).
     pub alpha: f64,
 }
@@ -31,23 +54,42 @@ impl GenerativeMatcher {
         alpha: f64,
     ) -> Self {
         let mut ids = Vec::new();
-        let mut models = Vec::new();
+        let mut models: Vec<UnigramLm> = Vec::new();
         let mut background = UnigramLm::standard();
+        let mut postings: HashMap<String, Vec<(usize, f64)>> = HashMap::new();
         for rec in records {
             let toks = record_tokens(rec);
             let mut lm = UnigramLm::standard();
             lm.observe(&toks);
             background.observe(&toks);
+            // Posting lists are filled from the record's token list, in
+            // model order: a list's models ascend and a repeated token is
+            // the list's last entry already.
+            let model = models.len();
+            for tok in toks {
+                let p = lm.prob(&tok);
+                let list = postings.entry(tok).or_default();
+                if list.last().is_none_or(|&(m, _)| m != model) {
+                    list.push((model, p));
+                }
+            }
             ids.push(rec.id());
             models.push(lm);
         }
         for t in domain_text {
             background.observe(&tokenize_words(t));
         }
+        // Every model is `UnigramLm::standard()`, so one value serves all.
+        let unseen = models
+            .iter()
+            .find(|lm| lm.total() > 0)
+            .map_or(0.0, |lm| lm.prob_of_count(0));
         Self {
             ids,
             models,
             background,
+            postings,
+            unseen,
             alpha,
         }
     }
@@ -55,6 +97,93 @@ impl GenerativeMatcher {
     /// The most likely record for a text, with its log-likelihood margin
     /// over the runner-up (a confidence signal).
     pub fn match_text(&self, text: &str) -> Option<(LrecId, f64)> {
+        let toks = tokenize_words(text);
+        if toks.is_empty() || self.ids.is_empty() {
+            return None;
+        }
+        let alpha = self.alpha;
+        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
+        // Per token, once: the background's share of the mixture, and the
+        // whole term of a model that never observed the token.
+        let shares: Vec<f64> = toks
+            .iter()
+            .map(|t| (1.0 - alpha) * self.background.prob(t))
+            .collect();
+        let common: Vec<f64> = shares
+            .iter()
+            .map(|share| (alpha * self.unseen + share).ln())
+            .collect();
+        // `(model, position, term)` wherever a model observed the token.
+        let mut observed: Vec<(usize, usize, f64)> = Vec::new();
+        for (pos, (tok, share)) in toks.iter().zip(&shares).enumerate() {
+            for &(model, p) in self.postings.get(tok).into_iter().flatten() {
+                observed.push((model, pos, (alpha * p + share).ln()));
+            }
+        }
+        observed.sort_unstable_by_key(|&(model, pos, _)| (model, pos));
+
+        let common_ll: f64 = common.iter().copied().sum();
+        let mut scores: Vec<f64> = self
+            .models
+            .iter()
+            .map(|lm| {
+                if lm.total() == 0 {
+                    // An empty model falls back to the uniform floor, not
+                    // to `unseen`.
+                    lm.mixture_log_likelihood(&self.background, alpha, &toks)
+                } else {
+                    common_ll
+                }
+            })
+            .collect();
+        for own in observed.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(model, _, _)) = own.first() else {
+                continue;
+            };
+            let mut own = own.iter().peekable();
+            let ll: f64 = common
+                .iter()
+                .enumerate()
+                .map(|(pos, &unobserved)| {
+                    own.next_if(|&&(_, at, _)| at == pos)
+                        .map_or(unobserved, |&(_, _, term)| term)
+                })
+                .sum();
+            if let Some(score) = scores.get_mut(model) {
+                *score = ll;
+            }
+        }
+
+        // Top two in one scan, with a stable descending sort's semantics:
+        // the first maximum wins, the runner-up is the largest of the rest
+        // (ties with the best included).
+        let mut scored = scores.iter().copied().enumerate();
+        let (mut best, mut best_ll) = scored.next()?;
+        let mut runner_up: Option<f64> = None;
+        for (i, ll) in scored {
+            if ll > best_ll {
+                runner_up = Some(best_ll);
+                (best, best_ll) = (i, ll);
+            } else if runner_up.is_none_or(|r| ll > r) {
+                runner_up = Some(ll);
+            }
+        }
+        let margin = runner_up.map_or(f64::INFINITY, |r| best_ll - r);
+        let found = self.ids.get(best).map(|&id| (id, margin));
+        debug_assert_eq!(
+            found.map(|(id, m)| (id, m.to_bits())),
+            self.match_text_reference(text)
+                .map(|(id, m)| (id, m.to_bits())),
+            "the inverted-index evaluation must equal the per-model one bit for bit"
+        );
+        found
+    }
+
+    /// [`Self::match_text`] evaluated model by model: every model scores
+    /// every token, then a stable sort picks the top two. The oracle the
+    /// property tests and the debug-build shadow compare against; nothing
+    /// else calls it.
+    pub fn match_text_reference(&self, text: &str) -> Option<(LrecId, f64)> {
         let toks = tokenize_words(text);
         if toks.is_empty() || self.ids.is_empty() {
             return None;

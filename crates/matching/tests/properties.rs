@@ -1,10 +1,13 @@
 //! Property tests for entity-matching invariants.
 
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use woc_lrec::{AttrValue, ConceptId, Lrec, LrecId, Provenance, Tick};
+
 use woc_matching::{
-    attr_similarity, candidate_pairs, pairwise_prf, resolve_collective, resolve_pairwise,
-    value_similarity, CollectiveConfig, FellegiSunter, UnionFind,
+    attr_similarity, candidate_pairs, candidate_pairs_from_keys, candidate_pairs_sharded,
+    pairwise_prf, resolve_collective, resolve_pairwise, value_similarity, CollectiveConfig,
+    FellegiSunter, GenerativeMatcher, UnionFind,
 };
 
 fn rec(id: u64, name: &str, zip: &str, phone: &str) -> Lrec {
@@ -22,7 +25,188 @@ fn rec(id: u64, name: &str, zip: &str, phone: &str) -> Lrec {
     r
 }
 
+/// A candidate for the generative matcher: `words` joined as its name (no
+/// attribute at all when empty, so its model observes nothing).
+fn named(id: u64, words: &[String]) -> Lrec {
+    rec(id, &words.join(" "), "", "")
+}
+
+/// What `match_text` returns, comparable bit for bit.
+fn bits(found: Option<(LrecId, f64)>) -> Option<(LrecId, u64)> {
+    found.map(|(id, margin)| (id, margin.to_bits()))
+}
+
+/// `resolve_collective` as it was before the hash sets went: the merged-pair
+/// set and per-round `HashSet` neighbour clusters. The production body must
+/// produce the same clusters in the same number of rounds.
+fn resolve_collective_reference(
+    n: usize,
+    candidates: &[(usize, usize, f64)],
+    neighbors: &[Vec<usize>],
+    config: &CollectiveConfig,
+) -> (UnionFind, usize) {
+    fn cluster_jaccard(a: &HashSet<usize>, b: &HashSet<usize>) -> f64 {
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let inter = a.intersection(b).count();
+        let union = a.len() + b.len() - inter;
+        inter as f64 / union as f64
+    }
+    let mut uf = UnionFind::new(n);
+    let mut merged: HashSet<(usize, usize)> = HashSet::new();
+    let mut iters = 0;
+    for round in 1..=config.max_iters {
+        iters = round;
+        let neighbor_clusters: Vec<HashSet<usize>> = (0..n)
+            .map(|i| neighbors[i].iter().map(|&j| uf.find(j)).collect())
+            .collect();
+        let mut changed = false;
+        for &(i, j, base) in candidates {
+            if merged.contains(&(i, j)) || uf.same(i, j) {
+                continue;
+            }
+            let rel = cluster_jaccard(&neighbor_clusters[i], &neighbor_clusters[j]);
+            let score = base + config.relational_weight * rel;
+            if score >= config.accept {
+                uf.union(i, j);
+                merged.insert((i, j));
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    (uf, iters)
+}
+
+/// Candidate generation as it was before `candidate_pairs_from_keys`: bucket
+/// by key, push every pair of every bucket within the limit, sort, dedup.
+fn candidate_pairs_reference(keys: &[Vec<String>], max_block: usize) -> Vec<(usize, usize)> {
+    let mut blocks: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, rec_keys) in keys.iter().enumerate() {
+        for k in rec_keys {
+            blocks.entry(k.as_str()).or_default().push(i);
+        }
+    }
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    for members in blocks.values().filter(|m| m.len() <= max_block) {
+        for (a, &i) in members.iter().enumerate() {
+            for &j in &members[a + 1..] {
+                out.push((i.min(j), i.max(j)));
+            }
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 proptest! {
+    /// The inverted-index evaluation of `match_text` is the per-model one,
+    /// bit for bit: over a small vocabulary tokens repeat inside a text, are
+    /// shared by several records, and some records have no tokens at all.
+    #[test]
+    fn match_text_equals_its_reference_bit_for_bit(
+        records in prop::collection::vec(prop::collection::vec("[b-f]{1,2}", 0..5), 1..9),
+        text in prop::collection::vec("[b-g]{1,2}", 0..12),
+        domain in prop::collection::vec("[b-h]{1,2} [b-h]{1,2} [b-h]{1,2}", 0..3),
+        alpha in 0.0f64..1.0,
+    ) {
+        let recs: Vec<Lrec> = records.iter().enumerate().map(|(i, w)| named(i as u64, w)).collect();
+        let domain: Vec<&str> = domain.iter().map(String::as_str).collect();
+        let matcher = GenerativeMatcher::build(recs.iter(), &domain, alpha);
+        let text = text.join(" ");
+        let found = matcher.match_text(&text);
+        prop_assert_eq!(bits(found), bits(matcher.match_text_reference(&text)));
+        prop_assert_eq!(found.is_some(), !text.is_empty());
+        if let (Some((_, margin)), 1) = (found, recs.len()) {
+            prop_assert_eq!(margin, f64::INFINITY, "a single candidate has no runner-up");
+        }
+        // The same text twice over repeats every token.
+        let doubled = format!("{text} {text}");
+        prop_assert_eq!(
+            bits(matcher.match_text(&doubled)),
+            bits(matcher.match_text_reference(&doubled))
+        );
+    }
+
+    /// Two identical records tie for every text: the first wins with margin
+    /// 0.0, exactly as a stable sort would have it.
+    #[test]
+    fn match_text_ties_go_to_the_first_candidate(
+        twin in prop::collection::vec("[b-f]{1,2}", 1..5),
+        other in prop::collection::vec("[g-k]{1,2}", 0..5),
+        twins_first in 0usize..2,
+    ) {
+        let mut recs = vec![named(10, &twin), named(11, &twin)];
+        recs.insert(if twins_first == 1 { 2 } else { 0 }, named(12, &other));
+        let matcher = GenerativeMatcher::build(recs.iter(), &[], 0.6);
+        let text = twin.join(" ");
+        let found = matcher.match_text(&text);
+        prop_assert_eq!(bits(found), bits(matcher.match_text_reference(&text)));
+        prop_assert_eq!(found, Some((LrecId(10), 0.0)));
+    }
+
+    /// `resolve_collective` without its hash sets forms the same clusters in
+    /// the same number of rounds — with empty neighbour lists, repeated
+    /// neighbours, and chains where one merge enables the next.
+    #[test]
+    fn collective_equals_its_reference(
+        scores in prop::collection::vec((0usize..10, 0usize..10, 0.0f64..1.4), 0..30),
+        neighbors in prop::collection::vec(prop::collection::vec(0usize..10, 0..5), 10..11),
+        weight in 0.0f64..2.0,
+    ) {
+        let n = 10;
+        let cands: Vec<(usize, usize, f64)> = scores
+            .into_iter()
+            .filter(|(i, j, _)| i != j)
+            .map(|(i, j, s)| (i.min(j), i.max(j), s))
+            .collect();
+        let config = CollectiveConfig { accept: 1.0, relational_weight: weight, max_iters: 6 };
+        let (mut uf, iters) = resolve_collective(n, &cands, &neighbors, &config);
+        let (mut expected, expected_iters) =
+            resolve_collective_reference(n, &cands, &neighbors, &config);
+        prop_assert_eq!(uf.clusters(), expected.clusters());
+        prop_assert_eq!(iters, expected_iters);
+    }
+
+    /// `candidate_pairs_from_keys` emits what bucket → push → sort → dedup
+    /// did, whether buckets fit the limit or not, and the record-level entry
+    /// points agree with it at any thread count.
+    #[test]
+    fn candidate_pairs_from_keys_equals_sort_and_dedup(
+        key_sets in prop::collection::vec(prop::collection::vec("[a-d]{1,2}", 0..5), 0..14),
+        names in prop::collection::vec("[a-c]{3} [a-c]{3}", 0..12),
+    ) {
+        // One record's keys are a set: `blocking_keys` never lists one twice.
+        let keys: Vec<Vec<String>> = key_sets
+            .into_iter()
+            .map(|ks| ks.into_iter().collect::<BTreeSet<_>>().into_iter().collect())
+            .collect();
+        let key_refs: Vec<&[String]> = keys.iter().map(Vec::as_slice).collect();
+        for max_block in [2, 3, 200] {
+            prop_assert_eq!(
+                candidate_pairs_from_keys(&key_refs, max_block),
+                candidate_pairs_reference(&keys, max_block)
+            );
+        }
+        let recs: Vec<Lrec> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| rec(i as u64, n, "", ""))
+            .collect();
+        let refs: Vec<&Lrec> = recs.iter().collect();
+        let own_keys: Vec<Vec<String>> = refs.iter().map(|r| woc_matching::blocking_keys(r)).collect();
+        for max_block in [2, 3, 200] {
+            let expected = candidate_pairs_reference(&own_keys, max_block);
+            for threads in [1, 4] {
+                prop_assert_eq!(&candidate_pairs_sharded(&refs, max_block, threads), &expected);
+            }
+        }
+    }
+
     /// Value similarity is bounded, reflexive and symmetric across the typed
     /// algebra.
     #[test]

@@ -154,7 +154,8 @@ impl StreamEngine {
         let fps = corpus
             .pages()
             .iter()
-            .map(|p| (p.url.clone(), p.fingerprint()))
+            .map(|p| p.url.clone())
+            .zip(corpus.page_fingerprints())
             .collect();
         Self {
             config,

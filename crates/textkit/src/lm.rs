@@ -52,11 +52,19 @@ impl UnigramLm {
 
     /// Probability of a single token (never zero).
     pub fn prob(&self, token: &str) -> f64 {
+        self.prob_of_count(self.counts.get(token).copied().unwrap_or(0))
+    }
+
+    /// Probability this model gives a token it observed `count` times — all
+    /// [`Self::prob`] reads of the token. For a non-empty model
+    /// `prob_of_count(0)` is exactly `(1 − λ)/V`, the same for every token
+    /// the model never saw.
+    pub fn prob_of_count(&self, count: u64) -> f64 {
         let uniform = 1.0 / self.vocab_floor;
         if self.total == 0 {
             return uniform;
         }
-        let emp = self.counts.get(token).copied().unwrap_or(0) as f64 / self.total as f64;
+        let emp = count as f64 / self.total as f64;
         self.lambda * emp + (1.0 - self.lambda) * uniform
     }
 
@@ -118,6 +126,22 @@ mod tests {
         lm.observe(&["a", "a", "b", "c"]);
         assert!((lm.prob("a") - 0.5).abs() < 1e-12);
         assert!((lm.prob("b") - 0.25).abs() < 1e-12);
+    }
+
+    /// The identity the generative matcher's inverted index rests on: a
+    /// non-empty model gives every token it never saw exactly `(1 − λ)/V`.
+    #[test]
+    fn unseen_tokens_get_exactly_the_floor_share() {
+        let mut lm = UnigramLm::standard();
+        lm.observe(&["salsa", "salsa", "tacos"]);
+        let floor: f64 = (1.0 - 0.8) * (1.0 / 50_000.0);
+        assert_eq!(lm.prob_of_count(0).to_bits(), floor.to_bits());
+        assert_eq!(lm.prob("pho").to_bits(), floor.to_bits());
+        assert_eq!(lm.prob("salsa").to_bits(), lm.prob_of_count(2).to_bits());
+        // An empty model is the uniform distribution, whatever the count.
+        let empty = UnigramLm::standard();
+        assert_eq!(empty.prob_of_count(0), 1.0 / 50_000.0);
+        assert_eq!(empty.prob("pho"), empty.prob_of_count(3));
     }
 
     #[test]

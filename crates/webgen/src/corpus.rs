@@ -1,6 +1,20 @@
 //! The crawled web: a corpus of pages with URL and site indexes.
+//!
+//! ## Kept fingerprints
+//!
+//! A corpus keeps [`Page::fingerprint`] of each page it holds, in a slot
+//! beside the page, taken the first time anyone asks
+//! ([`WebCorpus::page_fingerprints`]). The slots rest on one invariant:
+//! **a corpus never hands out `&mut Page`**. A page changes only by being
+//! replaced through [`WebCorpus::add`], which empties its slot, or removed
+//! through [`WebCorpus::remove`], which removes the slot with it; a clone
+//! copies pages and slots together. So a filled slot is always the
+//! fingerprint of the page beside it, and maintenance that is handed the
+//! same corpus edited in place fingerprints only the pages that were
+//! replaced. Any new way to mutate a held page must empty its slot.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use crate::page::Page;
 
@@ -8,6 +22,9 @@ use crate::page::Page;
 #[derive(Debug, Clone, Default)]
 pub struct WebCorpus {
     pages: Vec<Page>,
+    /// `Page::fingerprint` of the page at the same position, once taken
+    /// (see the module docs).
+    kept: Vec<OnceLock<u64>>,
     by_url: HashMap<String, usize>,
     by_site: BTreeMap<String, Vec<usize>>,
 }
@@ -23,13 +40,18 @@ impl WebCorpus {
         match self.by_url.get(&page.url) {
             Some(&i) => {
                 // Recrawl: site index unchanged (site is derived from URL).
+                // The kept fingerprint was the old page's.
                 self.pages[i] = page;
+                if let Some(slot) = self.kept.get_mut(i) {
+                    slot.take();
+                }
             }
             None => {
                 let i = self.pages.len();
                 self.by_url.insert(page.url.clone(), i);
                 self.by_site.entry(page.site.clone()).or_default().push(i);
                 self.pages.push(page);
+                self.kept.push(OnceLock::new());
             }
         }
     }
@@ -47,6 +69,7 @@ impl WebCorpus {
     pub fn remove(&mut self, url: &str) -> Option<Page> {
         let i = self.by_url.remove(url)?;
         let page = self.pages.remove(i);
+        self.kept.remove(i);
         // Every later page shifted down one slot; rebuild both indexes'
         // positions. (Removal is O(n); the streaming commit stage batches
         // removals per micro-epoch, and corpora are bounded by crawl size.)
@@ -77,6 +100,42 @@ impl WebCorpus {
     /// All pages.
     pub fn pages(&self) -> &[Page] {
         &self.pages
+    }
+
+    /// The content fingerprint of every page, in page order: each slot's
+    /// kept value, taken now where the slot is empty. Equal to mapping
+    /// [`Page::fingerprint`] over [`Self::pages`], without hashing a page
+    /// this corpus has hashed before.
+    pub fn page_fingerprints(&self) -> Vec<u64> {
+        self.pages
+            .iter()
+            .zip(&self.kept)
+            .map(|(page, slot)| {
+                let fp = *slot.get_or_init(|| page.fingerprint());
+                debug_assert_eq!(fp, page.fingerprint(), "stale slot for {}", page.url);
+                fp
+            })
+            .collect()
+    }
+
+    /// Positions of the pages whose fingerprint this corpus has not taken
+    /// yet: pages added or replaced since it last was.
+    pub fn unfingerprinted(&self) -> Vec<usize> {
+        self.kept
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.get().is_none())
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// The fingerprint kept for the page at `position`, taken now if its
+    /// slot is empty — one entry of [`Self::page_fingerprints`], for a
+    /// caller that fills the empty slots on several threads first.
+    pub fn kept_fingerprint(&self, position: usize) -> Option<u64> {
+        let page = self.pages.get(position)?;
+        let slot = self.kept.get(position)?;
+        Some(*slot.get_or_init(|| page.fingerprint()))
     }
 
     /// Number of pages.
@@ -197,6 +256,74 @@ mod tests {
         ));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get("http://a.example.com/1").unwrap().links().len(), 1);
+    }
+
+    /// A seeded add / replace / remove / clone / extend / sweep sequence
+    /// against a model of which slots should be empty: a kept fingerprint is
+    /// always the page's, and only replaced or new pages are ever hashed
+    /// again.
+    #[test]
+    fn kept_fingerprints_track_every_mutation() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let mut next = move |bound: usize| rng.random_range(0..bound);
+        let url = |n: usize| format!("http://s{}.example.com/{n}", n % 3);
+        let versioned = |n: usize, version: usize| {
+            let target = format!("http://v.example.com/{version}");
+            page(&url(n), Some(&target))
+        };
+        let mut corpus = WebCorpus::new();
+        // The model: URL and whether its slot should be empty, in page order.
+        let mut model: Vec<(String, bool)> = Vec::new();
+        let upsert = |model: &mut Vec<(String, bool)>, u: String| match model
+            .iter_mut()
+            .find(|(known, _)| *known == u)
+        {
+            Some(entry) => entry.1 = true,
+            None => model.push((u, true)),
+        };
+        for step in 0..400 {
+            match next(6) {
+                0 | 1 => {
+                    let n = next(24);
+                    corpus.add(versioned(n, step));
+                    upsert(&mut model, url(n));
+                }
+                2 if !model.is_empty() => {
+                    let (gone, _) = model.remove(next(model.len()));
+                    assert!(corpus.remove(&gone).is_some());
+                }
+                3 => corpus = corpus.clone(),
+                4 => {
+                    let mut other = WebCorpus::new();
+                    for _ in 0..next(4) {
+                        let n = next(30);
+                        other.add(versioned(n, step));
+                        upsert(&mut model, url(n));
+                    }
+                    // `other` may have taken its own fingerprints; they stay
+                    // behind with it.
+                    other.page_fingerprints();
+                    corpus.extend(other);
+                }
+                _ => {
+                    let fresh: Vec<u64> = corpus.pages().iter().map(Page::fingerprint).collect();
+                    assert_eq!(corpus.page_fingerprints(), fresh);
+                    model.iter_mut().for_each(|entry| entry.1 = false);
+                }
+            }
+            let urls: Vec<&str> = corpus.pages().iter().map(|p| p.url.as_str()).collect();
+            let expected: Vec<&str> = model.iter().map(|(u, _)| u.as_str()).collect();
+            assert_eq!(urls, expected, "step {step}");
+            let empty: Vec<usize> = (0..model.len()).filter(|&i| model[i].1).collect();
+            assert_eq!(corpus.unfingerprinted(), empty, "step {step}");
+            for (i, p) in corpus.pages().iter().enumerate() {
+                if !model[i].1 {
+                    assert_eq!(corpus.kept_fingerprint(i), Some(p.fingerprint()));
+                }
+            }
+        }
+        assert_eq!(corpus.kept_fingerprint(corpus.len()), None);
     }
 
     #[test]
