@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use woc_extract::lists::{extract_lists, ConceptProfile};
+use woc_extract::lists::{extract_lists, lists_and_claims, ConceptProfile};
 use woc_extract::seqlabel::{example_from_segments, Labeler};
 use woc_webgen::sites::academic::render_citation;
 use woc_webgen::{generate_corpus, CorpusConfig, PageKind, World, WorldConfig};
@@ -24,6 +24,9 @@ fn bench_extract(c: &mut Criterion) {
 
     c.bench_function("lists/extract_menu_page", |b| {
         b.iter(|| extract_lists(black_box(menu_page), &profiles))
+    });
+    c.bench_function("extract/lists_and_claims", |b| {
+        b.iter(|| lists_and_claims(black_box(menu_page), &profiles))
     });
     c.bench_function("pipeline/extract_page_biz", |b| {
         b.iter(|| woc_core::extract_page(black_box(biz_page), &profiles))

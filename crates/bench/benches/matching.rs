@@ -84,6 +84,12 @@ fn bench_matching(c: &mut Criterion) {
     c.bench_function("matching/fs_score_pair", |b| {
         b.iter(|| fs.score(black_box(&recs[0]), black_box(&recs[1])))
     });
+    // The same pair, each record prepared once: what stage C pays per
+    // candidate pair once both records' names are keyed.
+    let (pa, pb) = (fs.prepare(&recs[0]), fs.prepare(&recs[1]));
+    c.bench_function("matching/fellegi_score_prepared", |b| {
+        b.iter(|| fs.score_prepared(black_box(&pa), black_box(&pb)))
+    });
     c.bench_function("matching/blocking_200_records", |b| {
         b.iter(|| candidate_pairs(black_box(&refs), 200))
     });

@@ -10,16 +10,18 @@
 //! confidence, so §7.3's uncertainty/lineage requirements hold end to end.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use woc_extract::lists::{extract_lists, ConceptProfile};
+use woc_extract::lists::{lists_and_claims, ConceptProfile};
 use woc_extract::ExtractedRecord;
 use woc_index::{InvertedIndex, LrecIndex, MergePolicy, SegmentedLrecIndex};
 use woc_lrec::domains::{standard_registry, StandardConcepts};
 use woc_lrec::value::Date;
 use woc_lrec::{AttrValue, ConceptId, ConceptRegistry, Lrec, LrecId, Provenance, Store, Tick};
-use woc_matching::{candidate_pairs_from_keys, CollectiveConfig, FellegiSunter, GenerativeMatcher};
+use woc_matching::{
+    candidate_pairs_from_keys, CollectiveConfig, FellegiSunter, GenerativeMatcher, PreparedRecord,
+};
 use woc_textkit::gazetteer;
 use woc_textkit::recognize::{self, FieldKind};
 use woc_textkit::tokenize::normalize;
@@ -404,19 +406,20 @@ pub fn labeled_fields(dom: &woc_webgen::Node) -> Vec<(String, String)> {
 }
 
 /// Extract all records from one page honoring ablation flags.
+///
+/// One region scan serves both halves: the lists, and the concepts a
+/// listing claims. Detail extraction complements lists with the page-level
+/// record — unless a list already claimed the same concept (listing pages
+/// are not about one entity).
 pub fn extract_page_with(
     page: &Page,
     profiles: &[ConceptProfile],
     use_lists: bool,
     use_detail: bool,
 ) -> Vec<ExtractedRecord> {
-    let mut out = if use_lists {
-        extract_lists(page, profiles)
-    } else {
-        Vec::new()
-    };
+    let (lists, claimed) = lists_and_claims(page, profiles);
+    let mut out = if use_lists { lists } else { Vec::new() };
     if use_detail {
-        let claimed = woc_extract::lists::claimed_concepts(page, profiles, 2);
         let claimed_refs: Vec<&str> = claimed.iter().map(String::as_str).collect();
         if let Some(rec) = detail_extract(page, &claimed_refs) {
             out.push(rec);
@@ -427,18 +430,7 @@ pub fn extract_page_with(
 
 /// Extract all records from one page (lists + detail).
 pub fn extract_page(page: &Page, profiles: &[ConceptProfile]) -> Vec<ExtractedRecord> {
-    let mut out = extract_lists(page, profiles);
-    // Suppression uses a lower row minimum than extraction: even a two-row
-    // listing marks the page as a listing, not a detail page.
-    let claimed = woc_extract::lists::claimed_concepts(page, profiles, 2);
-    let claimed_refs: Vec<&str> = claimed.iter().map(String::as_str).collect();
-    // Detail extraction complements lists: the page-level record — unless a
-    // list already claimed the same concept (listing pages are not about one
-    // entity).
-    if let Some(rec) = detail_extract(page, &claimed_refs) {
-        out.push(rec);
-    }
-    out
+    extract_page_with(page, profiles, true, true)
 }
 
 /// Pipeline stage B for one page: type every extracted record that names a
@@ -733,6 +725,26 @@ pub fn build_with_caches(
             candidate_pairs_from_keys(&keys, 200)
         };
         let fs = scorer_for(cname);
+        // Each record is prepared for scoring at most once per pass, and
+        // only when a pair it belongs to is scored.
+        let prepared: Vec<OnceLock<PreparedRecord<'_>>> =
+            recs.iter().map(|_| OnceLock::new()).collect();
+        let record = |k: usize| recs.get(k).expect("invariant: blocking pairs positions");
+        let score = |i: usize, j: usize| {
+            let prepare = |k: usize| {
+                prepared
+                    .get(k)
+                    .expect("invariant: one cell per position")
+                    .get_or_init(|| fs.prepare(record(k)))
+            };
+            let s = fs.score_prepared(prepare(i), prepare(j));
+            debug_assert_eq!(
+                s.to_bits(),
+                fs.score_reference(record(i), record(j)).to_bits(),
+                "a prepared pair score must equal the reference bit for bit"
+            );
+            s
+        };
         let scored: memo::ScoredPairs = match caches.as_deref_mut() {
             Some(c) => {
                 // Digests are taken pre-merge, before any `Ref` values
@@ -741,13 +753,11 @@ pub fn build_with_caches(
                 // Blocking and scoring read nothing else, so a concept
                 // whose digest sequence is unchanged skips both.
                 let digests: Vec<u64> = typed.iter().map(|t| t.digest).collect();
-                c.memo_partition(cid.0, &digests, threads, block, |i, j| {
-                    fs.score(&recs[i], &recs[j])
-                })
+                c.memo_partition(cid.0, &digests, threads, block, score)
             }
-            None => std::sync::Arc::new(shard_map(&block(), threads, |&(i, j)| {
-                (i, j, fs.score(&recs[i], &recs[j]))
-            })),
+            None => {
+                std::sync::Arc::new(shard_map(&block(), threads, |&(i, j)| (i, j, score(i, j))))
+            }
         };
         report.match_pairs_scored += scored.len();
         let mut uf = if config.collective {

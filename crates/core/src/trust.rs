@@ -170,72 +170,85 @@ pub struct TrustModel {
 
 impl TrustModel {
     /// Run the fixpoint over a claim set.
+    ///
+    /// Each claim's site is looked up once, not once per claim per
+    /// iteration: the same arithmetic in the same order as
+    /// [`Self::compute_reference`].
     pub fn compute(claims: Vec<Claim>, config: &TrustConfig) -> TrustModel {
+        #[cfg(debug_assertions)]
+        let shadow = Self::compute_reference(claims.clone(), config);
         let claims = canonicalize(claims);
-        // Facts: claims grouped per (pool, attr), then by denotation within.
-        // `facts[f]` holds claim indices per denotation group of fact `f`.
-        let mut facts: Vec<Vec<Vec<usize>>> = Vec::new();
-        {
-            let mut i = 0;
-            while i < claims.len() {
-                let j = claims[i..]
-                    .iter()
-                    .position(|c| (c.pool.as_str(), c.attr.as_str()) != key(&claims[i]))
-                    .map(|p| i + p)
-                    .unwrap_or(claims.len());
-                let mut groups: Vec<Vec<usize>> = Vec::new();
-                for k in i..j {
-                    match groups
-                        .iter_mut()
-                        .find(|g| claims[g[0]].value.same_denotation(&claims[k].value))
-                    {
-                        Some(g) => g.push(k),
-                        None => groups.push(vec![k]),
+        let facts = facts_of(&claims);
+        let (site_trust, claim_counts) = sites_of(&claims, &facts, config);
+        let sites: Vec<&str> = site_trust.keys().map(String::as_str).collect();
+        // Each claim's confidence with its site's position.
+        let claimants: Vec<(f64, usize)> = claims
+            .iter()
+            .map(|c| {
+                let pos = sites
+                    .binary_search(&c.site.as_str())
+                    .expect("invariant: every claim's site is a site");
+                (c.confidence, pos)
+            })
+            .collect();
+        let mut scores: Vec<f64> = Vec::new();
+        let fixpoint = iterate(sites.len(), config, |trust, sum, cnt| {
+            for fact in facts.iter().filter(|f| judgeable(f)) {
+                // Group score: noisy-or of confidence × trust.
+                scores.clear();
+                scores.extend(fact.iter().map(|g| {
+                    let mut not = 1.0f64;
+                    for &(confidence, pos) in g.iter().filter_map(|&ci| claimants.get(ci)) {
+                        let t = trust.get(pos).copied().unwrap_or_default();
+                        not *= 1.0 - (confidence * t).clamp(0.0, 1.0);
+                    }
+                    1.0 - not
+                }));
+                for (gi, (g, s)) in fact.iter().zip(&scores).enumerate() {
+                    let p = group_probability(*s, &scores, gi);
+                    for &(_, pos) in g.iter().filter_map(|&ci| claimants.get(ci)) {
+                        if let (Some(sum), Some(cnt)) = (sum.get_mut(pos), cnt.get_mut(pos)) {
+                            *sum += p;
+                            *cnt += 1;
+                        }
                     }
                 }
-                facts.push(groups);
-                i = j;
             }
-        }
+        });
+        let model = converged_model(config, claims, site_trust, claim_counts, fixpoint);
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            model.claims == shadow.claims
+                && model
+                    .site_trust
+                    .values()
+                    .map(|t| t.to_bits())
+                    .eq(shadow.site_trust.values().map(|t| t.to_bits()))
+                && model
+                    .curve
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .eq(shadow.curve.iter().map(|d| d.to_bits()))
+                && model.quarantined == shadow.quarantined,
+            "the indexed fixpoint must equal the reference bit for bit"
+        );
+        model
+    }
 
-        // A fact is judgeable when at least two sites weighed in: contested
-        // (≥ 2 denotation groups) or corroborated (one group, ≥ 2 sites).
-        // Sole-claimant facts carry no reliability signal either way.
-        let judgeable = |f: &&Vec<Vec<usize>>| f.len() >= 2 || f[0].len() >= 2;
-
-        // Judgeable claims per site; sites with any claim at all get a row.
-        let mut site_trust: BTreeMap<String, f64> = BTreeMap::new();
-        let mut claim_counts: BTreeMap<String, usize> = BTreeMap::new();
-        for c in &claims {
-            site_trust.entry(c.site.clone()).or_insert(config.prior);
-            claim_counts.entry(c.site.clone()).or_insert(0);
-        }
-        for fact in facts.iter().filter(judgeable) {
-            for g in fact {
-                for &ci in g {
-                    *claim_counts
-                        .get_mut(&claims[ci].site)
-                        .expect("invariant: every claim's site has a count row") += 1;
-                }
-            }
-        }
-
-        let mut curve = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        // Per-site accumulators, keyed in site_trust's (sorted) order.
-        let sites: Vec<String> = site_trust.keys().cloned().collect();
-        let site_pos: BTreeMap<&str, usize> = sites
-            .iter()
+    /// [`Self::compute`] as first written: [`canonicalize_reference`], and
+    /// two ordered-map lookups per claim per iteration. The oracle of the
+    /// property tests and the debug-build shadow; nothing else calls it.
+    pub fn compute_reference(claims: Vec<Claim>, config: &TrustConfig) -> TrustModel {
+        let claims = canonicalize_reference(claims);
+        let facts = facts_of(&claims);
+        let (site_trust, claim_counts) = sites_of(&claims, &facts, config);
+        let site_pos: BTreeMap<&str, usize> = site_trust
+            .keys()
             .enumerate()
             .map(|(i, s)| (s.as_str(), i))
             .collect();
-        let mut trust: Vec<f64> = sites.iter().map(|_| config.prior).collect();
-        for _ in 0..config.max_iters {
-            iterations += 1;
-            let mut sum = vec![0.0f64; trust.len()];
-            let mut cnt = vec![0usize; trust.len()];
-            for fact in facts.iter().filter(judgeable) {
+        let fixpoint = iterate(site_pos.len(), config, |trust, sum, cnt| {
+            for fact in facts.iter().filter(|f| judgeable(f)) {
                 // Group score: noisy-or of confidence × trust.
                 let scores: Vec<f64> = fact
                     .iter()
@@ -248,20 +261,8 @@ impl TrustModel {
                         1.0 - not
                     })
                     .collect();
-                // Best-rival, winner-take-most normalization: each group is
-                // scored against the strongest competing group only, and
-                // squaring sharpens the gap. Summing over all rivals instead
-                // would dilute a corroborated honest win in proportion to how
-                // many independent lies happen to be in the race.
                 for (gi, (g, s)) in fact.iter().zip(&scores).enumerate() {
-                    let rival = scores
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != gi)
-                        .map(|(_, r)| *r)
-                        .fold(0.0f64, f64::max);
-                    let denom = s * s + rival * rival;
-                    let p = if denom > 0.0 { s * s / denom } else { 0.0 };
+                    let p = group_probability(*s, &scores, gi);
                     for &ci in g {
                         let pos = site_pos[claims[ci].site.as_str()];
                         sum[pos] += p;
@@ -269,54 +270,8 @@ impl TrustModel {
                     }
                 }
             }
-            let mut delta = 0.0f64;
-            for i in 0..trust.len() {
-                let evidence = if cnt[i] > 0 {
-                    sum[i] / cnt[i] as f64
-                } else {
-                    config.prior
-                };
-                let next = config.damping * evidence + (1.0 - config.damping) * config.prior;
-                delta = delta.max((next - trust[i]).abs());
-                trust[i] = next;
-            }
-            curve.push(delta);
-            if delta < config.epsilon {
-                converged = true;
-                break;
-            }
-        }
-        for (i, s) in sites.iter().enumerate() {
-            *site_trust
-                .get_mut(s)
-                .expect("invariant: sites enumerate site_trust keys") = trust[i];
-        }
-
-        let quarantined: Vec<(String, String)> = site_trust
-            .iter()
-            .filter(|(site, t)| {
-                **t < config.quarantine_threshold && claim_counts[*site] >= config.min_claims
-            })
-            .map(|(site, t)| {
-                (
-                    site.clone(),
-                    format!("trust {:.2} < {:.2}", t, config.quarantine_threshold),
-                )
-            })
-            .collect();
-
-        TrustModel {
-            config: config.clone(),
-            site_trust,
-            claim_counts,
-            claims,
-            quarantined,
-            curve,
-            iterations,
-            converged,
-            selections: Vec::new(),
-            exclusions: Vec::new(),
-        }
+        });
+        converged_model(config, claims, site_trust, claim_counts, fixpoint)
     }
 
     /// Trust of a site (prior for sites the model never saw).
@@ -374,11 +329,228 @@ fn key(c: &Claim) -> (&str, &str) {
     (c.pool.as_str(), c.attr.as_str())
 }
 
+/// Facts: canonical claims grouped per `(pool, attr)`, then by denotation
+/// within. `facts[f]` holds claim indices per denotation group of fact `f`.
+fn facts_of(claims: &[Claim]) -> Vec<Vec<Vec<usize>>> {
+    let mut facts: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut i = 0;
+    while i < claims.len() {
+        let j = claims[i..]
+            .iter()
+            .position(|c| (c.pool.as_str(), c.attr.as_str()) != key(&claims[i]))
+            .map(|p| i + p)
+            .unwrap_or(claims.len());
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for k in i..j {
+            match groups
+                .iter_mut()
+                .find(|g| claims[g[0]].value.same_denotation(&claims[k].value))
+            {
+                Some(g) => g.push(k),
+                None => groups.push(vec![k]),
+            }
+        }
+        facts.push(groups);
+        i = j;
+    }
+    facts
+}
+
+/// A fact is judgeable when at least two sites weighed in: contested
+/// (≥ 2 denotation groups) or corroborated (one group, ≥ 2 sites).
+/// Sole-claimant facts carry no reliability signal either way.
+fn judgeable(fact: &[Vec<usize>]) -> bool {
+    fact.len() >= 2 || fact.first().is_some_and(|g| g.len() >= 2)
+}
+
+/// Every site that claimed anything, at prior trust, and its judgeable
+/// claim count.
+fn sites_of(
+    claims: &[Claim],
+    facts: &[Vec<Vec<usize>>],
+    config: &TrustConfig,
+) -> (BTreeMap<String, f64>, BTreeMap<String, usize>) {
+    let mut site_trust: BTreeMap<String, f64> = BTreeMap::new();
+    let mut claim_counts: BTreeMap<String, usize> = BTreeMap::new();
+    for c in claims {
+        if !site_trust.contains_key(&c.site) {
+            site_trust.insert(c.site.clone(), config.prior);
+            claim_counts.insert(c.site.clone(), 0);
+        }
+    }
+    for fact in facts.iter().filter(|f| judgeable(f)) {
+        for g in fact {
+            for &ci in g {
+                *claim_counts
+                    .get_mut(&claims[ci].site)
+                    .expect("invariant: every claim's site has a count row") += 1;
+            }
+        }
+    }
+    (site_trust, claim_counts)
+}
+
+/// Best-rival, winner-take-most normalization of group `gi`'s score `s`:
+/// each group is scored against the strongest competing group only, and
+/// squaring sharpens the gap. Summing over all rivals instead would dilute
+/// a corroborated honest win in proportion to how many independent lies
+/// happen to be in the race.
+fn group_probability(s: f64, scores: &[f64], gi: usize) -> f64 {
+    let rival = scores
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != gi)
+        .map(|(_, r)| *r)
+        .fold(0.0f64, f64::max);
+    let denom = s * s + rival * rival;
+    if denom > 0.0 {
+        s * s / denom
+    } else {
+        0.0
+    }
+}
+
+/// Where the fixpoint stopped.
+struct Fixpoint {
+    /// Per-site trust, in site order.
+    trust: Vec<f64>,
+    /// Max per-site trust delta per iteration.
+    curve: Vec<f64>,
+    iterations: usize,
+    converged: bool,
+}
+
+/// Iterate the damped trust update over `sites` sites from the prior until
+/// the max delta falls below epsilon or the cap is reached. `evidence`
+/// adds each judgeable claim's group probability and a count to its site's
+/// row of the zeroed `sum` and `cnt`, given the current trust.
+fn iterate(
+    sites: usize,
+    config: &TrustConfig,
+    mut evidence: impl FnMut(&[f64], &mut [f64], &mut [usize]),
+) -> Fixpoint {
+    let mut trust = vec![config.prior; sites];
+    let mut sum = vec![0.0f64; sites];
+    let mut cnt = vec![0usize; sites];
+    let mut fixpoint = Fixpoint {
+        trust: Vec::new(),
+        curve: Vec::new(),
+        iterations: 0,
+        converged: false,
+    };
+    for _ in 0..config.max_iters {
+        fixpoint.iterations += 1;
+        sum.fill(0.0);
+        cnt.fill(0);
+        evidence(&trust, &mut sum, &mut cnt);
+        let mut delta = 0.0f64;
+        for ((t, &sum), &cnt) in trust.iter_mut().zip(&sum).zip(&cnt) {
+            let evidence = if cnt > 0 {
+                sum / cnt as f64
+            } else {
+                config.prior
+            };
+            let next = config.damping * evidence + (1.0 - config.damping) * config.prior;
+            delta = delta.max((next - *t).abs());
+            *t = next;
+        }
+        fixpoint.curve.push(delta);
+        if delta < config.epsilon {
+            fixpoint.converged = true;
+            break;
+        }
+    }
+    fixpoint.trust = trust;
+    fixpoint
+}
+
+/// The converged model: trust written back per site, and the quarantine
+/// decided on it.
+fn converged_model(
+    config: &TrustConfig,
+    claims: Vec<Claim>,
+    mut site_trust: BTreeMap<String, f64>,
+    claim_counts: BTreeMap<String, usize>,
+    fixpoint: Fixpoint,
+) -> TrustModel {
+    for (t, converged) in site_trust.values_mut().zip(fixpoint.trust) {
+        *t = converged;
+    }
+    let quarantined: Vec<(String, String)> = site_trust
+        .iter()
+        .filter(|(site, t)| {
+            **t < config.quarantine_threshold && claim_counts[*site] >= config.min_claims
+        })
+        .map(|(site, t)| {
+            (
+                site.clone(),
+                format!("trust {:.2} < {:.2}", t, config.quarantine_threshold),
+            )
+        })
+        .collect();
+    TrustModel {
+        config: config.clone(),
+        site_trust,
+        claim_counts,
+        claims,
+        quarantined,
+        curve: fixpoint.curve,
+        iterations: fixpoint.iterations,
+        converged: fixpoint.converged,
+        selections: Vec::new(),
+        exclusions: Vec::new(),
+    }
+}
+
 /// Sort claims canonically and deduplicate: one claim per
 /// `(pool, attr, site, denotation)`, keeping the highest confidence — a site
 /// repeating itself across its own pages is self-citation, not
 /// corroboration.
-fn canonicalize(mut claims: Vec<Claim>) -> Vec<Claim> {
+///
+/// Each claim's display string is rendered once, and the stable sort keys
+/// on `(pool, attr, site, display)` — the reference's key without its
+/// repeated `site`, so the same order. In that order every earlier claim
+/// sharing a claim's `(pool, attr, site)` lies in the trailing run of the
+/// output that shares it, so the duplicate search reads only that run.
+pub fn canonicalize(claims: Vec<Claim>) -> Vec<Claim> {
+    let mut keyed: Vec<(String, Claim)> = claims
+        .into_iter()
+        .map(|c| (c.value.display_string(), c))
+        .collect();
+    keyed.sort_by(|(da, a), (db, b)| {
+        (&a.pool, &a.attr, &a.site, da).cmp(&(&b.pool, &b.attr, &b.site, db))
+    });
+    let mut out: Vec<Claim> = Vec::with_capacity(keyed.len());
+    // Start of the trailing run of `out` sharing the current claim's
+    // `(pool, attr, site)`.
+    let mut run = 0;
+    for (_, c) in keyed {
+        if out
+            .last()
+            .is_some_and(|p| (&p.pool, &p.attr, &p.site) != (&c.pool, &c.attr, &c.site))
+        {
+            run = out.len();
+        }
+        let same = out
+            .iter_mut()
+            .skip(run)
+            .find(|p| p.value.same_denotation(&c.value));
+        match same {
+            Some(prev) => {
+                if c.confidence > prev.confidence {
+                    prev.confidence = c.confidence;
+                }
+            }
+            None => out.push(c),
+        }
+    }
+    out
+}
+
+/// [`canonicalize`] as first written: display strings rendered per sort
+/// comparison, and the whole output searched for every claim. The oracle
+/// of the property tests and the debug-build shadow; nothing else calls it.
+pub fn canonicalize_reference(mut claims: Vec<Claim>) -> Vec<Claim> {
     claims.sort_by(|a, b| {
         (&a.pool, &a.attr, &a.site, a.value.display_string(), &a.site).cmp(&(
             &b.pool,

@@ -4,6 +4,7 @@
 //! spam perturbation.
 
 use proptest::prelude::*;
+use woc_core::trust::{canonicalize, canonicalize_reference};
 use woc_core::{Claim, TrustConfig, TrustModel};
 use woc_lrec::AttrValue;
 
@@ -98,7 +99,109 @@ fn arb_claims() -> impl Strategy<Value = Vec<Claim>> {
     })
 }
 
+/// Values whose denotations coincide across kinds and spellings: a phone
+/// as digits and as display text, one name padded and re-cased, one price
+/// as cents and as text, one number as int and as float.
+fn mixed_value(i: usize) -> AttrValue {
+    match i % 12 {
+        0 => AttrValue::Phone("4085550134".into()),
+        1 => AttrValue::Text("(408) 555-0134".into()),
+        2 => AttrValue::Text("408-555-0134".into()),
+        3 => AttrValue::Text(" Gochi ".into()),
+        4 => AttrValue::Text("gochi".into()),
+        5 => AttrValue::Text("GOCHI".into()),
+        6 => AttrValue::PriceCents(1295),
+        7 => AttrValue::Text("$12.95".into()),
+        8 => AttrValue::Int(4),
+        9 => AttrValue::Float(4.0),
+        10 => AttrValue::Text("zeni".into()),
+        _ => AttrValue::Phone("4085550199".into()),
+    }
+}
+
+/// Shuffled claims over small alphabets with same-denotation duplicates
+/// whose display strings differ.
+fn mixed_claims() -> impl Strategy<Value = Vec<Claim>> {
+    prop::collection::vec(
+        (
+            (0usize..4, 0usize..3),
+            (0usize..2, 0usize..12, 0.05f64..0.95),
+            0u32..1_000_000,
+        ),
+        1..80,
+    )
+    .prop_map(|mut raw| {
+        raw.sort_by_key(|r| r.2);
+        raw.into_iter()
+            .map(|((s, p), (a, v, conf), _)| Claim {
+                site: format!("site-{s}.example.com"),
+                pool: format!("restaurant|r{p}|springfield"),
+                attr: format!("attr{a}"),
+                value: mixed_value(v),
+                confidence: conf,
+            })
+            .collect()
+    })
+}
+
+/// A claim list's confidences as bits, to compare float fields exactly.
+fn confidence_bits(claims: &[Claim]) -> Vec<u64> {
+    claims.iter().map(|c| c.confidence.to_bits()).collect()
+}
+
+#[test]
+fn canonicalize_keeps_one_claim_per_denotation_across_spellings() {
+    let mut claims: Vec<Claim> = (0..12)
+        .map(|v| Claim {
+            site: "a.example.com".into(),
+            pool: "restaurant|gochi|cupertino".into(),
+            attr: "x".into(),
+            value: mixed_value(v),
+            confidence: 0.5 + v as f64 / 100.0,
+        })
+        .collect();
+    claims.reverse();
+    let out = canonicalize(claims.clone());
+    assert_eq!(out, canonicalize_reference(claims));
+    // The name's three spellings, the price's two and the number's two
+    // collapse, and the phone digits fold into a phone text; the two phone
+    // texts are different texts to each other.
+    assert_eq!(out.len(), 7, "{out:?}");
+}
+
 proptest! {
+    /// Claims rendered once sort and deduplicate exactly as the reference
+    /// does, whatever order they arrive in.
+    #[test]
+    fn canonicalize_equals_its_reference(claims in mixed_claims()) {
+        let out = canonicalize(claims.clone());
+        let reference = canonicalize_reference(claims);
+        prop_assert_eq!(confidence_bits(&out), confidence_bits(&reference));
+        prop_assert_eq!(out, reference);
+    }
+
+    /// The indexed fixpoint with reused buffers is the reference fixpoint,
+    /// bit for bit.
+    #[test]
+    fn compute_equals_its_reference_bit_for_bit(claims in mixed_claims(), spam in arb_claims()) {
+        let cfg = TrustConfig::default();
+        for claims in [claims, spam] {
+            let model = TrustModel::compute(claims.clone(), &cfg);
+            let reference = TrustModel::compute_reference(claims, &cfg);
+            let bits = |m: &TrustModel| -> Vec<(String, u64)> {
+                m.site_trust.iter().map(|(s, t)| (s.clone(), t.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&model), bits(&reference));
+            let curve = |m: &TrustModel| -> Vec<u64> { m.curve.iter().map(|d| d.to_bits()).collect() };
+            prop_assert_eq!(curve(&model), curve(&reference));
+            prop_assert_eq!(&model.quarantined, &reference.quarantined);
+            prop_assert_eq!(&model.claims, &reference.claims);
+            prop_assert_eq!(&model.claim_counts, &reference.claim_counts);
+            prop_assert_eq!(model.iterations, reference.iterations);
+            prop_assert_eq!(model.digest(), reference.digest());
+        }
+    }
+
     /// The fixpoint never depends on the order claims arrive in: reversing
     /// or rotating the claim stream yields a bitwise-identical model.
     #[test]

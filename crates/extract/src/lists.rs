@@ -52,7 +52,50 @@ fn shape(node: &Node, depth: usize) -> String {
 
 /// Find all maximal runs of ≥`min_rows` consecutive same-shape element
 /// siblings anywhere in the DOM.
+///
+/// Each element child's shape is rendered once per parent and the runs are
+/// read off the rendered signatures: the same comparisons, in the same
+/// order, as [`repeating_regions_reference`].
 pub fn repeating_regions(dom: &Node, min_rows: usize) -> Vec<RepeatingRegion<'_>> {
+    let mut out = Vec::new();
+    for (path, node) in dom.walk() {
+        if node.tag().is_none() {
+            continue;
+        }
+        let kids = node.child_nodes();
+        // A text child has no signature, so it ends any run.
+        let sigs: Vec<Option<String>> = kids
+            .iter()
+            .map(|k| k.tag().is_some().then(|| shape(k, 2)))
+            .collect();
+        let mut i = 0;
+        while i < kids.len() {
+            let Some(Some(sig)) = sigs.get(i) else {
+                i += 1;
+                continue;
+            };
+            let same = sigs
+                .iter()
+                .skip(i + 1)
+                .take_while(|s| s.as_ref() == Some(sig))
+                .count();
+            let j = i + 1 + same;
+            if j - i >= min_rows {
+                out.push(RepeatingRegion {
+                    parent: path.clone(),
+                    rows: kids.iter().skip(i).take(j - i).collect(),
+                });
+            }
+            i = j;
+        }
+    }
+    out
+}
+
+/// [`repeating_regions`] as first written, rendering a child's shape again
+/// for every comparison. The oracle of the property tests; nothing else
+/// calls it.
+pub fn repeating_regions_reference(dom: &Node, min_rows: usize) -> Vec<RepeatingRegion<'_>> {
     let mut out = Vec::new();
     for (path, node) in dom.walk() {
         if node.tag().is_none() {
@@ -92,7 +135,8 @@ pub struct RowFields {
 /// Type a row's text using recognizers and gazetteers.
 pub fn type_row(row: &Node) -> RowFields {
     let text = row.text_content();
-    let spans = recognize::recognize_all(&text);
+    let toks = woc_textkit::tokenize::tokenize(&text);
+    let spans = recognize::recognize_all_in(&toks, &text);
     let mut fields: Vec<(String, String)> = Vec::new();
 
     let mut first_span_start = text.len();
@@ -132,7 +176,6 @@ pub fn type_row(row: &Node) -> RowFields {
     }
 
     // Star ratings ("4 stars") and long review-like text.
-    let toks = woc_textkit::tokenize::tokenize(&text);
     for w in toks.windows(2) {
         if w[0].kind == woc_textkit::tokenize::TokenKind::Number
             && w[0].text.len() == 1
@@ -292,66 +335,138 @@ impl ConceptProfile {
     }
 }
 
-/// Concepts whose profile claims any repeating region of at least
-/// `min_rows` rows on the page. Used both for extraction and (with a lower
-/// row minimum) to *suppress* detail extraction on listing pages.
-pub fn claimed_concepts(page: &Page, profiles: &[ConceptProfile], min_rows: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for region in repeating_regions(&page.dom, min_rows) {
+/// Rows a repeating region needs before a profile may extract a list from
+/// it.
+const LIST_MIN_ROWS: usize = 3;
+
+/// Rows a repeating region needs before a profile's claim on it suppresses
+/// detail extraction: even a two-row listing marks the page as a listing,
+/// not a detail page.
+const CLAIM_MIN_ROWS: usize = 2;
+
+/// Extract a page's concept lists and the concepts its repeating regions
+/// claim, from one region scan with every row typed once.
+///
+/// Exact against the two separate scans ([`extract_lists_reference`] and
+/// [`claimed_concepts_reference`] at two rows): a scan advances past a run
+/// whether or not the run is long enough, so the row minimum only filters
+/// the runs, and the lists' regions are the claims' regions of at least
+/// three rows, in the same order.
+pub fn lists_and_claims(
+    page: &Page,
+    profiles: &[ConceptProfile],
+) -> (Vec<ExtractedRecord>, Vec<String>) {
+    let mut lists = Vec::new();
+    let mut claimed = Vec::new();
+    for region in repeating_regions(&page.dom, CLAIM_MIN_ROWS) {
         let typed: Vec<RowFields> = region.rows.iter().map(|r| type_row(r)).collect();
-        for p in profiles {
-            if p.score(&typed) >= p.accept_threshold && !out.contains(&p.concept) {
-                out.push(p.concept.clone());
-            }
+        claim_region(&typed, profiles, &mut claimed);
+        if typed.len() >= LIST_MIN_ROWS {
+            extract_region(page, &typed, profiles, &mut lists);
         }
     }
-    out
+    debug_assert!(
+        lists == extract_lists_reference(page, profiles)
+            && claimed == claimed_concepts_reference(page, profiles, CLAIM_MIN_ROWS),
+        "one region scan must extract and claim what two scans do on {}",
+        page.url
+    );
+    (lists, claimed)
+}
+
+/// Concepts whose profile claims any repeating region of at least two rows
+/// on the page — used to *suppress* detail extraction on listing pages.
+pub fn claimed_concepts(page: &Page, profiles: &[ConceptProfile]) -> Vec<String> {
+    lists_and_claims(page, profiles).1
 }
 
 /// Extract all concept lists from a page, completely unsupervised.
 ///
-/// Every repeating region is typed and scored against every profile; the
-/// best profile above its threshold claims the region. Emits one record per
-/// conforming row.
+/// Every repeating region of at least three rows is typed and scored
+/// against every profile; the best profile above its threshold claims the
+/// region. Emits one record per conforming row.
 pub fn extract_lists(page: &Page, profiles: &[ConceptProfile]) -> Vec<ExtractedRecord> {
-    let mut out = Vec::new();
-    for region in repeating_regions(&page.dom, 3) {
-        let typed: Vec<RowFields> = region.rows.iter().map(|r| type_row(r)).collect();
-        let best = profiles
-            .iter()
-            .map(|p| (p, p.score(&typed)))
-            .filter(|(p, s)| *s >= p.accept_threshold)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let Some((profile, score)) = best else {
-            continue;
-        };
-        let keep = profile.keep();
-        for row in typed.iter().filter(|r| profile.row_conforms(r)) {
-            let mut fields: Vec<(String, String)> = Vec::new();
-            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-            for (k, v) in &row.fields {
-                if !keep.contains(&k.as_str()) {
-                    continue;
-                }
-                let limit = profile
-                    .max_per_row
-                    .iter()
-                    .find(|(f, _)| f == k)
-                    .map(|(_, m)| *m)
-                    .unwrap_or(1);
-                let c = counts.entry(k.as_str()).or_insert(0);
-                if *c < limit.max(1) {
-                    fields.push((k.clone(), v.clone()));
-                    *c += 1;
-                }
-            }
-            out.push(ExtractedRecord {
-                concept: Some(profile.concept.clone()),
-                fields,
-                confidence: 0.55 + 0.4 * score,
-                source_url: page.url.clone(),
-            });
+    lists_and_claims(page, profiles).0
+}
+
+/// Add the concept of every profile that claims a typed region to
+/// `claimed`, once each.
+fn claim_region(typed: &[RowFields], profiles: &[ConceptProfile], claimed: &mut Vec<String>) {
+    for p in profiles {
+        if p.score(typed) >= p.accept_threshold && !claimed.contains(&p.concept) {
+            claimed.push(p.concept.clone());
         }
+    }
+}
+
+/// Emit a typed region's records under the best profile above its
+/// threshold, if any.
+fn extract_region(
+    page: &Page,
+    typed: &[RowFields],
+    profiles: &[ConceptProfile],
+    out: &mut Vec<ExtractedRecord>,
+) {
+    let best = profiles
+        .iter()
+        .map(|p| (p, p.score(typed)))
+        .filter(|(p, s)| *s >= p.accept_threshold)
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    let Some((profile, score)) = best else {
+        return;
+    };
+    let keep = profile.keep();
+    for row in typed.iter().filter(|r| profile.row_conforms(r)) {
+        let mut fields: Vec<(String, String)> = Vec::new();
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for (k, v) in &row.fields {
+            if !keep.contains(&k.as_str()) {
+                continue;
+            }
+            let limit = profile
+                .max_per_row
+                .iter()
+                .find(|(f, _)| f == k)
+                .map(|(_, m)| *m)
+                .unwrap_or(1);
+            let c = counts.entry(k.as_str()).or_insert(0);
+            if *c < limit.max(1) {
+                fields.push((k.clone(), v.clone()));
+                *c += 1;
+            }
+        }
+        out.push(ExtractedRecord {
+            concept: Some(profile.concept.clone()),
+            fields,
+            confidence: 0.55 + 0.4 * score,
+            source_url: page.url.clone(),
+        });
+    }
+}
+
+/// The claims of [`lists_and_claims`] from a scan of their own, at any row
+/// minimum. The oracle of the property tests and the debug-build shadow;
+/// nothing else calls it.
+pub fn claimed_concepts_reference(
+    page: &Page,
+    profiles: &[ConceptProfile],
+    min_rows: usize,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for region in repeating_regions_reference(&page.dom, min_rows) {
+        let typed: Vec<RowFields> = region.rows.iter().map(|r| type_row(r)).collect();
+        claim_region(&typed, profiles, &mut out);
+    }
+    out
+}
+
+/// The lists of [`lists_and_claims`] from a scan of their own. The oracle
+/// of the property tests and the debug-build shadow; nothing else calls it.
+pub fn extract_lists_reference(page: &Page, profiles: &[ConceptProfile]) -> Vec<ExtractedRecord> {
+    let mut out = Vec::new();
+    for region in repeating_regions_reference(&page.dom, LIST_MIN_ROWS) {
+        let typed: Vec<RowFields> = region.rows.iter().map(|r| type_row(r)).collect();
+        extract_region(page, &typed, profiles, &mut out);
     }
     out
 }

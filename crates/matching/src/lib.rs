@@ -33,7 +33,7 @@ pub use blocking::{
 };
 pub use cluster::{pairwise_prf, pairwise_prf_sharded, UnionFind};
 pub use collective::{resolve_collective, resolve_pairwise, CollectiveConfig};
-pub use fellegi::{AttrParams, Decision, FellegiSunter};
+pub use fellegi::{AttrParams, Decision, FellegiSunter, PreparedRecord};
 pub use simvec::{attr_similarity, similarity_vector, value_similarity};
 pub use textmatch::{GenerativeMatcher, TfIdfMatcher};
 

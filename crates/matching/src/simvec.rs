@@ -7,13 +7,22 @@
 //! hybrid Jaro–Winkler/Jaccard for names, normalized-equality for
 //! phones/zips, numeric closeness for numbers.
 
+use std::sync::OnceLock;
+
 use woc_lrec::{AttrValue, Lrec};
-use woc_textkit::metrics::name_similarity;
+use woc_textkit::metrics::{name_similarity, name_similarity_keys, NameKey};
 use woc_textkit::tokenize::normalize;
 
 /// Similarity of two typed values under the semantics of their kinds.
 pub fn value_similarity(a: &AttrValue, b: &AttrValue) -> f64 {
-    match (a, b) {
+    kind_similarity(a, b)
+        .unwrap_or_else(|| name_similarity(&a.display_string(), &b.display_string()))
+}
+
+/// [`value_similarity`] for a pair whose kinds compare by their own
+/// semantics; `None` for a pair that compares display strings.
+fn kind_similarity(a: &AttrValue, b: &AttrValue) -> Option<f64> {
+    Some(match (a, b) {
         (AttrValue::Phone(x), AttrValue::Phone(y)) => f64::from(x == y),
         (AttrValue::Zip(x), AttrValue::Zip(y)) => {
             if x == y {
@@ -38,8 +47,40 @@ pub fn value_similarity(a: &AttrValue, b: &AttrValue) -> f64 {
         (AttrValue::Ref(x), AttrValue::Ref(y)) => f64::from(x == y),
         // Text vs anything: compare display strings with the hybrid name
         // metric (robust to reordering and small edits).
-        _ => name_similarity(&a.display_string(), &b.display_string()),
+        _ => return None,
+    })
+}
+
+/// A value prepared for repeated comparison: the [`NameKey`] of its display
+/// string is computed the first time a pair compares it by name, and kept.
+#[derive(Debug)]
+pub(crate) struct PreparedValue<'a> {
+    value: &'a AttrValue,
+    name: OnceLock<NameKey>,
+}
+
+impl<'a> PreparedValue<'a> {
+    /// Prepare `value`; nothing is computed yet.
+    pub(crate) fn new(value: &'a AttrValue) -> Self {
+        Self {
+            value,
+            name: OnceLock::new(),
+        }
     }
+
+    fn name(&self) -> &NameKey {
+        self.name.get_or_init(|| match self.value.as_text() {
+            // A text value is its own display string.
+            Some(text) => NameKey::new(text),
+            None => NameKey::new(&self.value.display_string()),
+        })
+    }
+}
+
+/// [`value_similarity`] of two prepared values: the same kind semantics,
+/// and the name metric over keys computed at most once per value.
+pub(crate) fn prepared_similarity(a: &PreparedValue<'_>, b: &PreparedValue<'_>) -> f64 {
+    kind_similarity(a.value, b.value).unwrap_or_else(|| name_similarity_keys(a.name(), b.name()))
 }
 
 /// Best similarity between any value of `key` in `a` and any in `b`;

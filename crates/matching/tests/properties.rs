@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use woc_lrec::value::Date;
 use woc_lrec::{AttrValue, ConceptId, Lrec, LrecId, Provenance, Tick};
 
 use woc_matching::{
@@ -103,7 +104,114 @@ fn candidate_pairs_reference(keys: &[Vec<String>], max_block: usize) -> Vec<(usi
     out
 }
 
+/// Keys a random record draws from: the restaurant model's five, plus one
+/// the model never reads.
+const KEYS: [&str; 6] = ["name", "phone", "zip", "street", "city", "other"];
+
+/// One value of the given kind (`kind % 10` picks among every `AttrValue`
+/// variant), built from a text and a number.
+fn value_of(kind: usize, text: &str, n: i64) -> AttrValue {
+    match kind % 10 {
+        0 => AttrValue::Text(text.to_string()),
+        1 => AttrValue::Int(n % 7),
+        2 => AttrValue::Float(n as f64 / 97.0),
+        3 => AttrValue::PriceCents(n - 50),
+        4 if n % 2 == 0 => AttrValue::Phone(format!("408555{:04}", n % 3)),
+        4 => AttrValue::Phone(text.to_string()),
+        5 => AttrValue::Zip(format!("95{:03}", n % 4)),
+        6 => AttrValue::Url(format!("http://{text}.example")),
+        7 => AttrValue::Date(Date {
+            year: 2000 + (n % 3) as u16,
+            month: 1 + (n % 12) as u8,
+            day: 1 + (n % 3) as u8,
+        }),
+        8 => AttrValue::Bool(n % 2 == 0),
+        _ => AttrValue::Ref(LrecId((n % 3) as u64)),
+    }
+}
+
+/// A record with 0–7 values of any kind under any of [`KEYS`]: attributes
+/// go missing, carry several values, and mix kinds.
+fn arb_record() -> impl Strategy<Value = Vec<(usize, usize, String, i64)>> {
+    prop::collection::vec(
+        (0..KEYS.len(), 0usize..10, "[a-c 0-9]{0,10}", 0i64..400),
+        0..8,
+    )
+}
+
+fn record_of(id: u64, values: &[(usize, usize, String, i64)]) -> Lrec {
+    let mut r = Lrec::new(LrecId(id), ConceptId(0));
+    for (key, kind, text, n) in values {
+        r.add(
+            KEYS[*key],
+            value_of(*kind, text, *n),
+            Provenance::ground_truth(Tick(0)),
+        );
+    }
+    r
+}
+
+/// `score`, `score_prepared` and `score_reference` of a pair, as bits.
+fn score_bits(fs: &FellegiSunter, a: &Lrec, b: &Lrec) -> [u64; 3] {
+    [
+        fs.score(a, b).to_bits(),
+        fs.score_prepared(&fs.prepare(a), &fs.prepare(b)).to_bits(),
+        fs.score_reference(a, b).to_bits(),
+    ]
+}
+
+#[test]
+fn prepared_score_equals_its_reference_on_every_kind_pairing() {
+    let fs = FellegiSunter::restaurant_default();
+    let samples: Vec<AttrValue> = (0..20)
+        .map(|i| value_of(i % 10, "gochi tapas", (i / 10) as i64 * 101 + 4))
+        .chain([
+            AttrValue::Text("(408) 555-0004".into()),
+            AttrValue::Text("$0.54".into()),
+            AttrValue::Text(" Gochi ".into()),
+        ])
+        .collect();
+    for key in KEYS {
+        for x in &samples {
+            for y in &samples {
+                let p = Provenance::ground_truth(Tick(0));
+                let mut a = Lrec::new(LrecId(1), ConceptId(0));
+                let mut b = Lrec::new(LrecId(2), ConceptId(0));
+                a.add(key, x.clone(), p.clone());
+                b.add(key, y.clone(), p.clone());
+                b.add("name", AttrValue::Text("Gochi".into()), p);
+                let [s, prepared, reference] = score_bits(&fs, &a, &b);
+                assert_eq!(s, reference, "{key}: {x:?} × {y:?}");
+                assert_eq!(prepared, reference, "{key}: {x:?} × {y:?}");
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The prepared Fellegi–Sunter sum equals the per-pair one bit for bit
+    /// on random records: missing attributes, multi-valued attributes and
+    /// every kind pairing the display-string fallback meets.
+    #[test]
+    fn prepared_score_equals_its_reference_bit_for_bit(
+        recs in prop::collection::vec(arb_record(), 2..8),
+    ) {
+        let fs = FellegiSunter::restaurant_default();
+        let recs: Vec<Lrec> = recs.iter().enumerate().map(|(i, v)| record_of(i as u64, v)).collect();
+        let prepared: Vec<_> = recs.iter().map(|r| fs.prepare(r)).collect();
+        for (i, a) in recs.iter().enumerate() {
+            for (j, b) in recs.iter().enumerate() {
+                let reference = fs.score_reference(a, b).to_bits();
+                prop_assert_eq!(fs.score(a, b).to_bits(), reference);
+                // One preparation serves every pair a record is in.
+                prop_assert_eq!(
+                    fs.score_prepared(&prepared[i], &prepared[j]).to_bits(),
+                    reference
+                );
+            }
+        }
+    }
+
     /// The inverted-index evaluation of `match_text` is the per-model one,
     /// bit for bit: over a small vocabulary tokens repeat inside a text, are
     /// shared by several records, and some records have no tokens at all.

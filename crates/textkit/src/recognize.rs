@@ -7,6 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use std::sync::OnceLock;
+
 use crate::gazetteer;
 use crate::tokenize::{tokenize, Token, TokenKind};
 
@@ -73,7 +75,10 @@ fn is_punct(t: &Token, p: &str) -> bool {
 /// Recognize US phone numbers. Accepted shapes over the token stream:
 /// `DDD-DDD-DDDD`, `DDD.DDD.DDDD`, `(DDD) DDD-DDDD`, `DDD DDD DDDD`.
 pub fn phones(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    phones_in(&tokenize(text), text)
+}
+
+fn phones_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -92,8 +97,8 @@ pub fn phones(text: &str) -> Vec<FieldSpan> {
             continue;
         }
         // DDD sep DDD sep DDDD where sep is -, ., or adjacency with space
-        if i + 2 < toks.len() && is_digits(&toks[i], 3) && is_digits_sep(&toks, i, text).is_some() {
-            if let Some(consumed) = is_digits_sep(&toks, i, text) {
+        if i + 2 < toks.len() && is_digits(&toks[i], 3) && is_digits_sep(toks, i).is_some() {
+            if let Some(consumed) = is_digits_sep(toks, i) {
                 out.push(span(FieldKind::Phone, &toks[i..i + consumed], text, 0.95));
                 i += consumed;
                 continue;
@@ -106,7 +111,7 @@ pub fn phones(text: &str) -> Vec<FieldSpan> {
 
 /// Helper: from position `i` (a 3-digit token) try to match the rest of a
 /// phone `DDD [sep] DDD [sep] DDDD`; returns number of tokens consumed.
-fn is_digits_sep(toks: &[Token], i: usize, _text: &str) -> Option<usize> {
+fn is_digits_sep(toks: &[Token], i: usize) -> Option<usize> {
     let mut j = i + 1;
     let mut seps = 0usize;
     // optional separator
@@ -137,7 +142,10 @@ fn is_digits_sep(toks: &[Token], i: usize, _text: &str) -> Option<usize> {
 /// Recognize 5-digit zips (optionally ZIP+4). A 5-digit number adjacent to a
 /// known state code or city gets higher confidence.
 pub fn zips(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    zips_in(&tokenize(text), text)
+}
+
+fn zips_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -172,7 +180,10 @@ pub fn zips(text: &str) -> Vec<FieldSpan> {
 
 /// Recognize monetary amounts: `$D`, `$D.DD`, and `D dollars`.
 pub fn prices(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    prices_in(&tokenize(text), text)
+}
+
+fn prices_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -200,7 +211,10 @@ pub fn prices(text: &str) -> Vec<FieldSpan> {
 
 /// Recognize dates: `Month D, YYYY`, `Month D YYYY`, `M/D/YYYY`, `YYYY-MM-DD`.
 pub fn dates(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    dates_in(&tokenize(text), text)
+}
+
+fn dates_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let months = gazetteer::month_set();
     let mut out = Vec::new();
     let mut i = 0;
@@ -265,7 +279,10 @@ fn capitalize(s: &str) -> String {
 
 /// Recognize clock times: `H[:MM]am/pm`, e.g. `11:30am`, `5 pm`.
 pub fn times(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    times_in(&tokenize(text), text)
+}
+
+fn times_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -292,7 +309,10 @@ pub fn times(text: &str) -> Vec<FieldSpan> {
 /// a street suffix. Confidence is boosted when a street word is in the
 /// gazetteer.
 pub fn street_addresses(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    street_addresses_in(&tokenize(text), text)
+}
+
+fn street_addresses_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
     let suffixes = gazetteer::street_suffix_any_set();
     let mut out = Vec::new();
     let mut i = 0;
@@ -323,6 +343,24 @@ pub fn street_addresses(text: &str) -> Vec<FieldSpan> {
 
 /// Recognize cities (gazetteer phrases) with byte spans.
 pub fn cities(text: &str) -> Vec<FieldSpan> {
+    cities_in(&tokenize(text), text)
+}
+
+/// The gazetteer's city names as lowercased word sequences, in gazetteer
+/// order.
+fn city_words() -> &'static [Vec<String>] {
+    static WORDS: OnceLock<Vec<Vec<String>>> = OnceLock::new();
+    WORDS.get_or_init(|| {
+        gazetteer::CITIES
+            .iter()
+            .map(|&(city, _, _)| city.split(' ').map(str::to_lowercase).collect())
+            .collect()
+    })
+}
+
+/// [`cities`] as first written, lowercasing every token once per gazetteer
+/// city; [`recognize_all_reference`] runs it.
+fn cities_reference(text: &str) -> Vec<FieldSpan> {
     let toks = tokenize(text);
     let mut out = Vec::new();
     for &(city, _, _) in gazetteer::CITIES {
@@ -346,9 +384,38 @@ pub fn cities(text: &str) -> Vec<FieldSpan> {
     out
 }
 
+fn cities_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
+    // Each word token is lowercased once; no other token matches a city
+    // word.
+    let lower: Vec<Option<String>> = toks
+        .iter()
+        .map(|t| (t.kind == TokenKind::Word).then(|| t.lower()))
+        .collect();
+    let mut out = Vec::new();
+    for words in city_words() {
+        if words.is_empty() {
+            continue;
+        }
+        for (w, window) in lower.windows(words.len()).enumerate() {
+            let hit = window
+                .iter()
+                .zip(words)
+                .all(|(t, cw)| t.as_deref() == Some(cw.as_str()));
+            if let Some(toks) = toks.get(w..w + words.len()).filter(|_| hit) {
+                out.push(span(FieldKind::City, toks, text, 0.9));
+            }
+        }
+    }
+    out.sort_by_key(|s| s.start);
+    out
+}
+
 /// Recognize cuisine mentions with byte spans.
 pub fn cuisines(text: &str) -> Vec<FieldSpan> {
-    let toks = tokenize(text);
+    cuisines_in(&tokenize(text))
+}
+
+fn cuisines_in(toks: &[Token]) -> Vec<FieldSpan> {
     let set = gazetteer::cuisine_set();
     toks.iter()
         .filter(|t| t.kind == TokenKind::Word && set.contains(capitalize(&t.text).as_str()))
@@ -452,6 +519,45 @@ pub fn urls(text: &str) -> Vec<FieldSpan> {
 
 /// Run every recognizer and return all spans sorted by start offset.
 pub fn recognize_all(text: &str) -> Vec<FieldSpan> {
+    recognize_all_in(&tokenize(text), text)
+}
+
+/// [`recognize_all`] over `toks`, which must be `tokenize(text)`, for a
+/// caller that has them already: every token-level recognizer reads the
+/// one token list, in the reference's order, so the stable sort sees the
+/// same sequence.
+pub fn recognize_all_in(toks: &[Token], text: &str) -> Vec<FieldSpan> {
+    let mut out = Vec::new();
+    out.extend(phones_in(toks, text));
+    out.extend(street_addresses_in(toks, text));
+    let covered: Vec<(usize, usize)> = out.iter().map(|s| (s.start, s.end)).collect();
+    // 5-digit numbers inside phone numbers or street addresses (street
+    // numbers!) are not zips.
+    out.extend(
+        zips_in(toks, text)
+            .into_iter()
+            .filter(|z| !covered.iter().any(|&(s, e)| z.start >= s && z.end <= e)),
+    );
+    out.extend(prices_in(toks, text));
+    out.extend(dates_in(toks, text));
+    out.extend(times_in(toks, text));
+    out.extend(cities_in(toks, text));
+    out.extend(cuisines_in(toks));
+    out.extend(emails(text));
+    out.extend(urls(text));
+    out.sort_by_key(|s| (s.start, s.end));
+    debug_assert_eq!(
+        out,
+        recognize_all_reference(text),
+        "one tokenization must recognize what one per recognizer does"
+    );
+    out
+}
+
+/// [`recognize_all`] as first written: every recognizer tokenizes the text
+/// itself, and cities are matched by the original scan. The oracle of the property tests and the debug-build shadow;
+/// nothing else calls it.
+pub fn recognize_all_reference(text: &str) -> Vec<FieldSpan> {
     let mut out = Vec::new();
     out.extend(phones(text));
     out.extend(street_addresses(text));
@@ -466,7 +572,7 @@ pub fn recognize_all(text: &str) -> Vec<FieldSpan> {
     out.extend(prices(text));
     out.extend(dates(text));
     out.extend(times(text));
-    out.extend(cities(text));
+    out.extend(cities_reference(text));
     out.extend(cuisines(text));
     out.extend(emails(text));
     out.extend(urls(text));

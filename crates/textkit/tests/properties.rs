@@ -2,10 +2,142 @@
 
 use proptest::prelude::*;
 use woc_textkit::metrics::{
-    char_ngrams, cosine_counts, dice, jaccard, jaro, jaro_winkler, lev_similarity, levenshtein,
-    name_similarity,
+    char_ngrams, cosine_counts, dice, jaccard, jaro, jaro_reference, jaro_winkler,
+    jaro_winkler_reference, lev_similarity, levenshtein, name_similarity, name_similarity_keys,
+    name_similarity_reference, NameKey,
 };
+use woc_textkit::recognize::{recognize_all, recognize_all_reference};
 use woc_textkit::tokenize::{normalize, sentences, tokenize, tokenize_words};
+
+/// Strings for the string-metric oracles: the empty string, whitespace
+/// only, multibyte text, repeated tokens, and lengths past one and two
+/// 64-bit flag words.
+fn metric_input() -> impl Strategy<Value = String> {
+    const WORDS: [&str; 5] = ["gochi", "tapas", "Gochi", "  ", "中文"];
+    prop_oneof![
+        "",
+        "[ \t\n]{1,6}",
+        "[a-c ]{0,20}",
+        "[a-eéüß中 ]{0,24}",
+        prop::collection::vec((0..WORDS.len()).prop_map(|i| WORDS[i]), 0..8)
+            .prop_map(|w| w.join(" ")),
+        "[a-d ]{60,70}",
+        "[a-d]{120,140}",
+        "[ab ]{129,200}",
+        "\\PC{0,40}",
+    ]
+}
+
+/// Row-like text for the recognizer oracle: the shapes every recognizer
+/// looks for, mixed with noise.
+fn row_text() -> impl Strategy<Value = String> {
+    const FIELDS: [&str; 20] = [
+        "(408) 555-0134",
+        "408-555-0134",
+        "408.555.0134",
+        "95014",
+        "95014-1234",
+        "CA",
+        "$12.95",
+        "20 dollars",
+        "January 20, 2010",
+        "1/20/2010",
+        "2010-01-20",
+        "11:30am",
+        "5 pm",
+        "19980 Homestead Rd",
+        "San Jose",
+        "Cupertino",
+        "Italian",
+        "info@gochi.example.com",
+        "http://gochi.example.com/menu",
+        "www.yelp.example",
+    ];
+    let piece = prop_oneof![
+        (0..FIELDS.len()).prop_map(|i| FIELDS[i].to_string()),
+        "[A-Za-z0-9 ,.:$/@-]{0,12}",
+        "\\PC{0,8}",
+    ];
+    prop::collection::vec(piece, 0..10).prop_map(|p| p.join(" "))
+}
+
+proptest! {
+    #[test]
+    fn bitset_jaro_equals_its_reference_bit_for_bit(
+        pairs in prop::collection::vec((metric_input(), metric_input()), 8..16),
+    ) {
+        for (a, b) in &pairs {
+            prop_assert_eq!(jaro(a, b).to_bits(), jaro_reference(a, b).to_bits(), "{:?} {:?}", a, b);
+            prop_assert_eq!(
+                jaro_winkler(a, b).to_bits(),
+                jaro_winkler_reference(a, b).to_bits(),
+                "{:?} {:?}",
+                a,
+                b
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_name_similarity_equals_its_reference_bit_for_bit(
+        pairs in prop::collection::vec((metric_input(), metric_input()), 8..16),
+    ) {
+        for (a, b) in &pairs {
+            let reference = name_similarity_reference(a, b).to_bits();
+            prop_assert_eq!(name_similarity(a, b).to_bits(), reference, "{:?} {:?}", a, b);
+            prop_assert_eq!(
+                name_similarity_keys(&NameKey::new(a), &NameKey::new(b)).to_bits(),
+                reference,
+                "{:?} {:?}",
+                a,
+                b
+            );
+        }
+    }
+
+    #[test]
+    fn one_tokenization_recognizes_what_one_per_recognizer_does(
+        texts in prop::collection::vec(row_text(), 4..8),
+    ) {
+        for text in &texts {
+            prop_assert_eq!(recognize_all(text), recognize_all_reference(text), "{:?}", text);
+        }
+    }
+}
+
+#[test]
+fn string_oracles_agree_on_the_edge_cases() {
+    let long_a = "ab".repeat(70);
+    let long_b = "ba".repeat(66);
+    let cases: [(&str, &str); 9] = [
+        ("", ""),
+        ("", "gochi"),
+        ("   ", "\t"),
+        (" Gochi ", "gochi"),
+        ("gochi gochi tapas", "tapas gochi"),
+        ("Café Ünïcode 中文", "cafe unicode"),
+        ("MARTHA", "MARHTA"),
+        (&long_a, &long_b),
+        ("DIXON", "DICKSONX"),
+    ];
+    for (a, b) in cases {
+        assert_eq!(
+            jaro(a, b).to_bits(),
+            jaro_reference(a, b).to_bits(),
+            "{a:?} {b:?}"
+        );
+        assert_eq!(
+            jaro_winkler(a, b).to_bits(),
+            jaro_winkler_reference(a, b).to_bits(),
+            "{a:?} {b:?}"
+        );
+        assert_eq!(
+            name_similarity(a, b).to_bits(),
+            name_similarity_reference(a, b).to_bits(),
+            "{a:?} {b:?}"
+        );
+    }
+}
 
 proptest! {
     #[test]
