@@ -18,9 +18,10 @@
 //!   confidence, conformance, conflicts and corroboration roll-ups;
 //! * [`maintain`] — incremental maintenance under recrawls and world change
 //!   (§7.3), with cost accounting vs full rebuild;
-//! * [`memo`] — content-keyed memo caches that let
-//!   [`pipeline::build_with_caches`] replay the pipeline while recomputing
-//!   only content that changed (the `woc-incr` engine's substrate);
+//! * [`memo`] — content-keyed memo caches every build passes through
+//!   ([`pipeline::build_with_caches`]): a cold build runs over empty ones,
+//!   a warm pass recomputes only content that changed (the `woc-incr`
+//!   engine's substrate);
 //! * [`taxonomy`] — §2.3 hierarchies: curated `is_a` chains, `part_of`
 //!   containment, and data-driven taxonomy construction by agglomerative
 //!   clustering (the curated-vs-data-driven comparison the paper poses).

@@ -1,14 +1,16 @@
 //! Content-keyed memo caches for incremental rebuilds (paper §7.3,
 //! "managing change").
 //!
-//! [`BuildCaches`] lets [`crate::pipeline::build_with_caches`] replay the
-//! full deterministic pipeline while skipping its expensive pure stages:
-//! page extraction, pair scoring, the mention scan, and index
-//! construction. Every cache is a *pure-function memo* — keyed only on the
-//! content the cached computation reads — so a cached build is
-//! byte-identical to a from-scratch build by construction: each stage
-//! either recomputes a value or returns exactly what recomputation would
-//! have produced.
+//! Every build is one [`crate::pipeline::build_with_caches`] pass over
+//! [`BuildCaches`]: a cold build ([`crate::pipeline::build`]) runs over
+//! empty ones and fills them, and a maintenance pass replays the full
+//! deterministic pipeline over the ones its predecessor left, skipping the
+//! expensive pure stages — page extraction, pair scoring, the mention scan
+//! and index construction — for content that did not change. Every cache
+//! is a *pure-function memo* — keyed only on the content the cached
+//! computation reads — so a warm pass is byte-identical to a cold build by
+//! construction: each stage either recomputes a value or returns exactly
+//! what recomputation would have produced.
 //!
 //! Lookup and insertion are serial; only cache *misses* fan out through
 //! [`crate::parallel::shard_map`], so no cache is ever mutated
@@ -148,8 +150,9 @@ pub(crate) fn digest_strs(items: &[&str]) -> u64 {
 }
 
 /// The tokens [`crate::pipeline::build`] indexes for a page: title plus
-/// visible text. The fresh build, the patch-in-place cache and the
-/// shard-local document indexes (`woc-cluster`) all tokenize through here.
+/// visible text. The patch-in-place cache every build runs, its reference
+/// (`pipeline::index_texts`) and the shard-local document indexes
+/// (`woc-cluster`) all tokenize through here.
 pub fn doc_tokens(page: &Page) -> Vec<String> {
     tokenize_words(&format!("{} {}", page.title, page.text()))
 }
@@ -211,8 +214,9 @@ impl TypedRecord {
 /// re-cloned, on hits.
 pub(crate) type TypedPage = Arc<Vec<TypedRecord>>;
 
-/// Counters describing what one maintenance pass recomputed vs reused.
-/// Reset at the start of each [`crate::pipeline::build_with_caches`] call.
+/// Counters describing what one build pass recomputed vs reused — on a
+/// cold build, everything. Reset at the start of each
+/// [`crate::pipeline::build_with_caches`] call.
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// `Page::fingerprint` calls charged to this pass: every page
@@ -223,8 +227,6 @@ pub struct CacheStats {
     pub pages_fingerprinted: usize,
     /// Pages whose extraction was recomputed (fingerprint cache miss).
     pub pages_reextracted: usize,
-    /// Pages whose extraction came from the cache.
-    pub extract_hits: usize,
     /// Records typed afresh in stage B: the records of every page that
     /// missed the typed-record memo (changed content, or a first record id
     /// shifted by an earlier page). A hit re-inserts the stored records.
@@ -235,8 +237,6 @@ pub struct CacheStats {
     pub score_hits: usize,
     /// Pages re-scanned for record mentions.
     pub mention_pages_rescanned: usize,
-    /// Pages whose mention scan came from the cache.
-    pub mention_hits: usize,
     /// `(term, doc)` postings removed or inserted by index patching.
     pub postings_patched: usize,
     /// Records whose index tokens changed and were patched in place.
@@ -381,8 +381,9 @@ fn align(old: &[u64], new: &[u64]) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// Memo caches carried across [`crate::pipeline::build_with_caches`] runs
-/// by an incremental-maintenance engine.
+/// The memo caches a [`crate::pipeline::build_with_caches`] pass runs over:
+/// empty for a cold build, carried from pass to pass by an
+/// incremental-maintenance engine.
 #[derive(Debug, Default)]
 pub struct BuildCaches {
     generation: u64,
@@ -480,7 +481,6 @@ impl BuildCaches {
             .extract
             .get_or_compute(self.generation, fps, threads, |i| Arc::new(f(pages[i])));
         self.stats.pages_reextracted += misses;
-        self.stats.extract_hits += fps.len() - misses;
         out
     }
 
@@ -616,7 +616,6 @@ impl BuildCaches {
                 Arc::new(scan(pages[i]))
             });
         self.stats.mention_pages_rescanned += misses;
-        self.stats.mention_hits += fps.len() - misses;
         out
     }
 
@@ -1100,7 +1099,7 @@ mod tests {
         let cfg = crate::PipelineConfig::default();
         let mut c = BuildCaches::new();
         let fps = c.fingerprint_pages(&corpus, cfg.threads);
-        let woc = crate::build_with_caches(&corpus, &cfg, Some((&mut c, &fps)));
+        let woc = crate::build_with_caches(&corpus, &cfg, &mut c, &fps);
         let records: Vec<&TypedRecord> = c
             .typed
             .table

@@ -30,7 +30,7 @@ use woc_webgen::{Page, WebCorpus};
 use crate::graph::{AssocKind, ConceptWeb};
 use crate::lineage::Lineage;
 use crate::memo::{self, BuildCaches, TypedRecord};
-use crate::parallel::{resolve_threads, shard_map};
+use crate::parallel::resolve_threads;
 use crate::report::PipelineReport;
 use crate::trust::{pool_key, Claim, Selection, TrustConfig, TrustModel};
 
@@ -531,7 +531,8 @@ fn type_page(
     typed
 }
 
-/// Build the web of concepts from a corpus.
+/// Build the web of concepts from a corpus: one [`build_with_caches`] pass
+/// over empty memos, dropped on return.
 ///
 /// The heavy stages (extraction, candidate generation, pair scoring, the
 /// mention scan) shard across `config.threads` workers via
@@ -539,28 +540,31 @@ fn type_page(
 /// thread count. Stage timings and counts are returned in
 /// [`WebOfConcepts::report`].
 pub fn build(corpus: &WebCorpus, config: &PipelineConfig) -> WebOfConcepts {
-    build_with_caches(corpus, config, None)
+    let mut caches = BuildCaches::new();
+    let fps = caches.fingerprint_pages(corpus, config.threads);
+    build_with_caches(corpus, config, &mut caches, &fps)
 }
 
-/// Like [`build`], threading [`BuildCaches`] memo caches through the pure
-/// heavy stages: page extraction, entity-resolution blocking and pair
-/// scoring, the mention scan and index construction. The caches come with
-/// the page-order fingerprints of `corpus`
-/// ([`BuildCaches::fingerprint_pages`]) — the caller has them from change
-/// detection, so a pass fingerprints each page once.
-/// `build_with_caches(c, cfg, Some((&mut caches, &fps)))` returns a web
-/// **byte-identical** to `build(c, cfg)` — every memo is keyed purely on
-/// the content its computation reads — while recomputing only what changed
-/// since the caches were last used. The `woc-incr` maintenance engine is
-/// the caller; [`build`] itself delegates here with `None`.
+/// One build pass over (possibly empty) [`BuildCaches`] memos. Every build
+/// is one: [`build`] passes fresh caches, and the `woc-incr` maintenance
+/// engine passes the caches its previous pass left behind. The memos cover
+/// the pure heavy stages — page extraction, entity-resolution blocking and
+/// pair scoring, the mention scan and index construction — and each is
+/// keyed purely on the content its computation reads, so the web is
+/// **byte-identical** whatever the caches hold; warm caches only recompute
+/// what changed since they were last used. `page_fps` are the page-order
+/// fingerprints of `corpus` ([`BuildCaches::fingerprint_pages`]) — the
+/// engine has them from change detection, so a pass fingerprints each page
+/// once.
 ///
 /// # Panics
 ///
-/// When the fingerprint vector is not one per page of `corpus`.
+/// When `page_fps` is not one fingerprint per page of `corpus`.
 pub fn build_with_caches(
     corpus: &WebCorpus,
     config: &PipelineConfig,
-    caches: Option<(&mut BuildCaches, &[u64])>,
+    caches: &mut BuildCaches,
+    page_fps: &[u64],
 ) -> WebOfConcepts {
     let (registry, concepts) = standard_registry();
     let mut store = Store::new();
@@ -575,25 +579,16 @@ pub fn build_with_caches(
     // --- Stage A: page extraction (sharded over pages) -------------------
     let pages: Vec<&Page> = corpus.pages().iter().collect();
     let (use_lists, use_detail) = (config.use_lists, config.use_detail);
-    let (mut caches, page_fps) = match caches {
-        Some((c, fps)) => {
-            assert_eq!(
-                fps.len(),
-                pages.len(),
-                "a cached build takes one fingerprint per page"
-            );
-            (Some(c), fps)
-        }
-        None => (None, &[][..]),
-    };
-    if let Some(c) = caches.as_deref_mut() {
-        c.begin_pass();
-    }
-    let extract_one = |p: &Page| extract_page_with(p, &profiles, use_lists, use_detail);
-    let extracted: Vec<std::sync::Arc<Vec<ExtractedRecord>>> = match caches.as_deref_mut() {
-        Some(c) => c.memo_extract(page_fps, &pages, threads, extract_one),
-        None => shard_map(&pages, threads, |p| std::sync::Arc::new(extract_one(p))),
-    };
+    assert_eq!(
+        page_fps.len(),
+        pages.len(),
+        "a build takes one fingerprint per page"
+    );
+    caches.begin_pass();
+    let extracted: Vec<Arc<Vec<ExtractedRecord>>> =
+        caches.memo_extract(page_fps, &pages, threads, |p| {
+            extract_page_with(p, &profiles, use_lists, use_detail)
+        });
     report.pages_scanned = pages.len();
     report.stage_done("extract", pages.len(), &mut t0);
 
@@ -609,22 +604,15 @@ pub fn build_with_caches(
     // Every page's typed records, kept for stage C: it reads each record's
     // digest and blocking keys as typed.
     let mut typed_pages: Vec<memo::TypedPage> = Vec::new();
-    for (i, (page, recs)) in pages.iter().zip(&extracted).enumerate() {
+    for ((page, recs), &fp) in pages.iter().zip(&extracted).zip(page_fps) {
         if recs.is_empty() {
             continue;
         }
         let doc_node = lineage.document(&page.url);
         let first_id = store.next_id();
-        let type_it = || type_page(page, recs, first_id, &registry, config);
-        let typed: memo::TypedPage = match caches.as_deref_mut() {
-            Some(c) => {
-                let fp = page_fps
-                    .get(i)
-                    .expect("invariant: cached builds fingerprint every page");
-                c.memo_typed(*fp, first_id, type_it)
-            }
-            None => Arc::new(type_it()),
-        };
+        let typed = caches.memo_typed(fp, first_id, || {
+            type_page(page, recs, first_id, &registry, config)
+        });
         for t in typed.iter() {
             let op_node = lineage.operator(t.op, vec![doc_node]);
             claims.extend(t.claims.iter().cloned());
@@ -745,20 +733,13 @@ pub fn build_with_caches(
             );
             s
         };
-        let scored: memo::ScoredPairs = match caches.as_deref_mut() {
-            Some(c) => {
-                // Digests are taken pre-merge, before any `Ref` values
-                // exist, so they are pure functions of extracted content —
-                // stable under the id renumbering a removed page causes.
-                // Blocking and scoring read nothing else, so a concept
-                // whose digest sequence is unchanged skips both.
-                let digests: Vec<u64> = typed.iter().map(|t| t.digest).collect();
-                c.memo_partition(cid.0, &digests, threads, block, score)
-            }
-            None => {
-                std::sync::Arc::new(shard_map(&block(), threads, |&(i, j)| (i, j, score(i, j))))
-            }
-        };
+        // Digests are taken pre-merge, before any `Ref` values exist, so
+        // they are pure functions of extracted content — stable under the
+        // id renumbering a removed page causes. Blocking and scoring read
+        // nothing else, so a concept whose digest sequence is unchanged
+        // skips both.
+        let digests: Vec<u64> = typed.iter().map(|t| t.digest).collect();
+        let scored = caches.memo_partition(cid.0, &digests, threads, block, score);
         report.match_pairs_scored += scored.len();
         let mut uf = if config.collective {
             // Relational evidence: records extracted from pages that mention
@@ -955,81 +936,14 @@ pub fn build_with_caches(
     report.stage_done("review-link", review_links, &mut t0);
 
     // --- Stage E: semantic linking (record mentions in documents) --------
-    let mention_targets: Vec<(LrecId, String)> = store
-        .live_ids()
-        .into_iter()
-        .filter_map(|id| {
-            let rec = store.latest(id)?;
-            let name = rec
-                .best_string("name")
-                .or_else(|| rec.best_string("title"))?;
-            let norm = normalize(&name);
-            // Short/generic names create false mentions; require 2+ tokens.
-            (norm.split(' ').count() >= 2).then_some((id, norm))
-        })
-        .collect();
-    // The scan (normalize + substring search over every page × target) is
-    // the pure, heavy part — shard it. Association order depends only on
-    // pre-E web state, so serial application in page order is identical.
-    let mentions_per_page: Vec<Vec<LrecId>> = match caches.as_deref_mut() {
-        Some(c) => {
-            // Memoize the heavy pure part per (page, target-name set): which
-            // names occur in the page text. The id-dependent filtering on
-            // top replays cheaply against the current web state.
-            let mut names: Vec<&str> = mention_targets.iter().map(|(_, n)| n.as_str()).collect();
-            names.sort_unstable();
-            names.dedup();
-            let names_digest = memo::digest_strs(&names);
-            let matched = c.memo_mentions(page_fps, &pages, names_digest, threads, |page| {
-                let text = normalize(&page.text());
-                names
-                    .iter()
-                    .filter(|n| text.contains(**n))
-                    .map(|n| (*n).to_string())
-                    .collect()
-            });
-            // name -> (position, id) pairs, so each page only touches the
-            // targets its matched names name. Sorting the gathered pairs by
-            // position restores the exact mention_targets iteration order the
-            // uncached path produces — byte-identity depends on that.
-            let mut by_name: std::collections::HashMap<&str, Vec<(usize, LrecId)>> =
-                std::collections::HashMap::new();
-            for (pos, (id, name)) in mention_targets.iter().enumerate() {
-                by_name.entry(name.as_str()).or_default().push((pos, *id));
-            }
-            pages
-                .iter()
-                .zip(&matched)
-                .map(|(page, m)| {
-                    if m.is_empty() {
-                        return Vec::new();
-                    }
-                    let mut hits: Vec<(usize, LrecId)> = m
-                        .iter()
-                        .filter_map(|n| by_name.get(n.as_str()))
-                        .flatten()
-                        .copied()
-                        .collect();
-                    hits.sort_unstable_by_key(|&(pos, _)| pos);
-                    hits.iter()
-                        .filter(|(_, id)| !web.records_of(&page.url).iter().any(|(r, _)| r == id))
-                        .map(|&(_, id)| id)
-                        .collect()
-                })
-                .collect()
-        }
-        None => shard_map(&pages, threads, |page| {
-            let text = normalize(&page.text());
-            mention_targets
-                .iter()
-                .filter(|(id, name)| {
-                    text.contains(name.as_str())
-                        && !web.records_of(&page.url).iter().any(|(r, _)| r == id)
-                })
-                .map(|(id, _)| *id)
-                .collect()
-        }),
-    };
+    // The scan reads only pre-E web state, so applying its lists serially in
+    // page order is deterministic.
+    let targets = mention_targets(&store);
+    let mentions_per_page = mention_scan(caches, page_fps, &pages, &targets, &web, threads);
+    debug_assert!(
+        mentions_per_page == mention_scan_reference(&pages, &targets, &web, threads),
+        "the memoized mention scan must equal the direct filter, page for page"
+    );
     for (page, ids) in pages.iter().zip(&mentions_per_page) {
         // A distrusted site's pages link to nothing: a spam page stuffed
         // with honest names must not become "related documents" in serving.
@@ -1073,13 +987,7 @@ pub fn build_with_caches(
         }
         names
     };
-    let also_names: Vec<std::sync::Arc<Vec<String>>> = match caches.as_deref_mut() {
-        Some(c) => c.memo_also(page_fps, &pages, threads, scan_also),
-        None => pages
-            .iter()
-            .map(|p| std::sync::Arc::new(scan_also(p)))
-            .collect(),
-    };
+    let also_names = caches.memo_also(page_fps, &pages, threads, scan_also);
     let mut augment_links = 0usize;
     for (page, names) in pages.iter().zip(&also_names) {
         let also: Vec<LrecId> = names
@@ -1145,30 +1053,22 @@ pub fn build_with_caches(
     report.stage_done("homepage", homepage_links, &mut t0);
 
     // --- Stage G: indexes ---------------------------------------------------
-    let record_index = match caches.as_deref_mut() {
-        Some(c) => c.record_index_with(&store),
-        None => flat_record_index(&store),
-    };
-    let (doc_index, doc_urls, doc_titles) = match caches.as_deref_mut() {
-        // The patch-in-place cache wants each live page's fingerprint
-        // beside it.
-        Some(c) => document_plane(pages.iter().copied(), &lineage, |live| {
+    let record_index = caches.record_index_with(&store);
+    // The patch-in-place cache wants each live page's fingerprint beside it.
+    let (doc_index, doc_urls, doc_titles) =
+        document_plane(pages.iter().copied(), &lineage, |live| {
             let (live_pages, live_fps): (Vec<&Page>, Vec<u64>) = live
                 .iter()
                 .map(|&(i, p)| {
                     let fp = page_fps
                         .get(i)
-                        .expect("invariant: cached builds fingerprint every page");
+                        .expect("invariant: a build fingerprints every page");
                     (p, *fp)
                 })
                 .unzip();
-            c.doc_index_with(&live_pages, &live_fps, threads)
-        }),
-        None => document_plane(pages.iter().copied(), &lineage, index_texts),
-    };
-    if let Some(c) = caches {
-        c.end_pass();
-    }
+            caches.doc_index_with(&live_pages, &live_fps, threads)
+        });
+    caches.end_pass();
     report.stage_done("index", store.live_count() + doc_urls.len(), &mut t0);
 
     WebOfConcepts {
@@ -1210,7 +1110,102 @@ pub(crate) fn document_plane<'a>(
     (doc_index, doc_urls, doc_titles)
 }
 
-/// [`document_plane`]'s uncached index: every live page tokenized afresh.
+/// Stage E's targets: every live record with a `name` (else `title`) of two
+/// or more tokens, normalized, in ascending id order. Short, generic names
+/// create false mentions.
+fn mention_targets(store: &Store) -> Vec<(LrecId, String)> {
+    store
+        .live_ids()
+        .into_iter()
+        .filter_map(|id| {
+            let rec = store.latest(id)?;
+            let name = rec
+                .best_string("name")
+                .or_else(|| rec.best_string("title"))?;
+            let norm = normalize(&name);
+            (norm.split(' ').count() >= 2).then_some((id, norm))
+        })
+        .collect()
+}
+
+/// Stage E's scan: for each page, the `targets` whose name occurs in its
+/// normalized text, in `targets` order, less the records `web` already
+/// associates with the page. The heavy pure part — which names occur in a
+/// page — is memoized per (page, target-name set); the id-dependent
+/// filtering on top replays cheaply against the current web state. Equal
+/// to [`mention_scan_reference`], page for page.
+fn mention_scan(
+    caches: &mut BuildCaches,
+    page_fps: &[u64],
+    pages: &[&Page],
+    targets: &[(LrecId, String)],
+    web: &ConceptWeb,
+    threads: usize,
+) -> Vec<Vec<LrecId>> {
+    let mut names: Vec<&str> = targets.iter().map(|(_, n)| n.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let names_digest = memo::digest_strs(&names);
+    let matched = caches.memo_mentions(page_fps, pages, names_digest, threads, |page| {
+        let text = normalize(&page.text());
+        names
+            .iter()
+            .filter(|n| text.contains(**n))
+            .map(|n| (*n).to_string())
+            .collect()
+    });
+    // name -> (position, id) pairs, so each page only touches the targets
+    // its matched names name. Sorting the gathered pairs by position
+    // restores the `targets` order `mention_scan_reference` produces —
+    // byte-identity depends on that.
+    let mut by_name: HashMap<&str, Vec<(usize, LrecId)>> = HashMap::new();
+    for (pos, (id, name)) in targets.iter().enumerate() {
+        by_name.entry(name.as_str()).or_default().push((pos, *id));
+    }
+    pages
+        .iter()
+        .zip(&matched)
+        .map(|(page, m)| {
+            if m.is_empty() {
+                return Vec::new();
+            }
+            let mut hits: Vec<(usize, LrecId)> = m
+                .iter()
+                .filter_map(|n| by_name.get(n.as_str()))
+                .flatten()
+                .copied()
+                .collect();
+            hits.sort_unstable_by_key(|&(pos, _)| pos);
+            hits.iter()
+                .filter(|(_, id)| !web.records_of(&page.url).iter().any(|(r, _)| r == id))
+                .map(|&(_, id)| id)
+                .collect()
+        })
+        .collect()
+}
+
+/// [`mention_scan`]'s reference: every page's normalized text searched for
+/// every target directly. Reached only from tests and `debug_assert!`.
+fn mention_scan_reference(
+    pages: &[&Page],
+    targets: &[(LrecId, String)],
+    web: &ConceptWeb,
+    threads: usize,
+) -> Vec<Vec<LrecId>> {
+    crate::parallel::shard_map(pages, threads, |page| {
+        let text = normalize(&page.text());
+        targets
+            .iter()
+            .filter(|(id, name)| {
+                text.contains(name.as_str())
+                    && !web.records_of(&page.url).iter().any(|(r, _)| r == id)
+            })
+            .map(|(id, _)| *id)
+            .collect()
+    })
+}
+
+/// [`document_plane`]'s reference index: every live page tokenized afresh.
 pub(crate) fn index_texts(live: &[(usize, &Page)]) -> InvertedIndex {
     let mut doc_index = InvertedIndex::new();
     for (_, page) in live {
@@ -1539,8 +1534,8 @@ mod tests {
         let fresh = build(&corpus, &cfg);
         let mut caches = BuildCaches::new();
         let fps = caches.fingerprint_pages(&corpus, cfg.threads);
-        let cold = build_with_caches(&corpus, &cfg, Some((&mut caches, &fps)));
-        let warm = build_with_caches(&corpus, &cfg, Some((&mut caches, &fps)));
+        let cold = build_with_caches(&corpus, &cfg, &mut caches, &fps);
+        let warm = build_with_caches(&corpus, &cfg, &mut caches, &fps);
         for woc in [&cold, &warm] {
             assert_eq!(woc.record_index.digest(), fresh.record_index.digest());
             assert_eq!(woc.doc_index.digest(), fresh.doc_index.digest());
@@ -1557,6 +1552,138 @@ mod tests {
         assert_eq!(caches.stats().postings_patched, 0);
         assert!(!caches.stats().record_index_rebuilt);
         assert!(!caches.stats().doc_index_rebuilt);
+    }
+
+    /// Build `corpus` and check stage E and stage G against their reference
+    /// bodies: the record index against a flat rebuild, the document plane
+    /// against one tokenized afresh, and every page's mention list against
+    /// [`mention_scan_reference`] run on stage E's inputs.
+    fn assert_build_matches_references(corpus: &WebCorpus) -> WebOfConcepts {
+        let woc = build(corpus, &PipelineConfig::default());
+        assert_eq!(
+            woc.record_index.digest(),
+            flat_record_index(&woc.store).digest()
+        );
+        let (doc_index, doc_urls, doc_titles) =
+            document_plane(corpus.pages(), &woc.lineage, index_texts);
+        assert_eq!(woc.doc_index.digest(), doc_index.digest());
+        assert_eq!((&woc.doc_urls, &woc.doc_titles), (&doc_urls, &doc_titles));
+
+        // Stage E's inputs, recovered from the built web: later stages change
+        // no record's name, and add only homepage links to the web.
+        let targets = mention_targets(&woc.store);
+        let mut pre_mentions = ConceptWeb::new();
+        for id in woc.web.records() {
+            for (url, kind) in woc.web.docs_of(id) {
+                if !matches!(kind, AssocKind::Mentions | AssocKind::Homepage) {
+                    pre_mentions.associate(id, url, *kind);
+                }
+            }
+        }
+        let pages: Vec<&Page> = corpus.pages().iter().collect();
+        let reference = mention_scan_reference(&pages, &targets, &pre_mentions, 1);
+        let mut caches = BuildCaches::new();
+        let fps = caches.fingerprint_pages(corpus, 1);
+        assert_eq!(
+            mention_scan(&mut caches, &fps, &pages, &targets, &pre_mentions, 1),
+            reference
+        );
+        // The build linked exactly those mentions, except on a distrusted
+        // site's pages, which link to nothing.
+        for (page, ids) in pages.iter().zip(&reference) {
+            let linked: Vec<LrecId> = woc
+                .web
+                .records_of(&page.url)
+                .iter()
+                .filter(|(_, k)| *k == AssocKind::Mentions)
+                .map(|(r, _)| *r)
+                .collect();
+            if woc.lineage.is_site_quarantined(&page.site) {
+                assert!(linked.is_empty(), "{} is distrusted", page.url);
+            } else {
+                assert_eq!(&linked, ids, "mentions on {}", page.url);
+            }
+        }
+        woc
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a whole corpus")]
+    fn build_matches_references_on_a_tiny_corpus() {
+        let world = World::generate(WorldConfig::tiny(204));
+        let woc =
+            assert_build_matches_references(&generate_corpus(&world, &CorpusConfig::tiny(14)));
+        assert!(woc.report.mention_links > 0);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a whole corpus")]
+    fn build_matches_references_on_the_standard_corpus() {
+        let world = World::generate(WorldConfig::default());
+        let woc =
+            assert_build_matches_references(&generate_corpus(&world, &CorpusConfig::default()));
+        assert!(woc.report.mention_links > 0);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "builds a whole corpus")]
+    fn build_matches_references_with_a_quarantined_site() {
+        let world = World::generate(WorldConfig::tiny(700));
+        let corpus = generate_corpus(
+            &world,
+            &CorpusConfig {
+                adversarial: Some(woc_webgen::AdversarialConfig::at_ratio(0.3, 11)),
+                ..CorpusConfig::tiny(70)
+            },
+        );
+        let woc = assert_build_matches_references(&corpus);
+        assert!(
+            !woc.trust.quarantined.is_empty(),
+            "a planted site is distrusted"
+        );
+    }
+
+    #[test]
+    fn mention_scan_equals_its_reference_on_shared_names_and_own_records() {
+        let world = World::generate(WorldConfig::tiny(205));
+        let corpus = generate_corpus(&world, &CorpusConfig::tiny(15));
+        let template = corpus
+            .pages()
+            .first()
+            .expect("a generated corpus has pages");
+        let page = |url: &str, html: &str| Page {
+            url: url.to_string(),
+            dom: woc_webgen::parse_html(html),
+            ..template.clone()
+        };
+        let a = page(
+            "http://blog.example.com/a",
+            "<p>Dinner at Gochi Tapas, then drinks at Blue Door.</p>",
+        );
+        let b = page("http://blog.example.com/b", "<p>Nothing of note.</p>");
+        let pages = [&a, &b];
+        let fps: Vec<u64> = pages.iter().map(|p| p.fingerprint()).collect();
+        // Records 8 and 5 share one normalized name; record 8 was extracted
+        // from page `a` itself, so its mention there is dropped.
+        let targets = vec![
+            (LrecId(8), "gochi tapas".to_string()),
+            (LrecId(3), "blue door".to_string()),
+            (LrecId(5), "gochi tapas".to_string()),
+            (LrecId(9), "red lantern".to_string()),
+        ];
+        let mut web = ConceptWeb::new();
+        web.associate(LrecId(8), &a.url, AssocKind::ExtractedFrom);
+        let reference = mention_scan_reference(&pages, &targets, &web, 1);
+        assert_eq!(reference, vec![vec![LrecId(3), LrecId(5)], vec![]]);
+        // Cold, then warm: the second scan is all memo hits.
+        let mut caches = BuildCaches::new();
+        for _ in 0..2 {
+            assert_eq!(
+                mention_scan(&mut caches, &fps, &pages, &targets, &web, 2),
+                reference
+            );
+        }
+        assert_eq!(caches.stats().mention_pages_rescanned, pages.len());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!    tombstoned because every source page vanished.
 //! 3. **Scoped recomputation with index patching** — [`IncrEngine::maintain`]
 //!    replays the deterministic pipeline through
-//!    [`woc_core::build_with_caches`]: extraction, pair scoring, mention
+//!    [`woc_core::build_with_caches`] — the one build pass, which a cold
+//!    build runs over empty caches: extraction, pair scoring, mention
 //!    scanning and index construction are content-keyed memos, so only work
 //!    downstream of the dirty set is recomputed, and index postings are
 //!    patched in place ([`woc_index::InvertedIndex::replace_doc`]) rather
@@ -216,7 +217,7 @@ impl IncrEngine {
     pub fn new(corpus: &WebCorpus, config: PipelineConfig) -> Self {
         let mut caches = BuildCaches::new();
         let fps = caches.fingerprint_pages(corpus, config.threads);
-        let web = build_with_caches(corpus, &config, Some((&mut caches, &fps)));
+        let web = build_with_caches(corpus, &config, &mut caches, &fps);
         let segments = web.segmented_record_index(MergePolicy::default());
         Self {
             config,
@@ -373,7 +374,7 @@ impl IncrEngine {
         // leave a wrong one, and `self.web` / `self.fingerprints` are not
         // touched until the replay has returned.
         let new_web = catch_unwind(AssertUnwindSafe(|| {
-            build_with_caches(corpus, &self.config, Some((&mut self.caches, &new_fps)))
+            build_with_caches(corpus, &self.config, &mut self.caches, &new_fps)
         }))
         .map_err(MaintainError::from_panic)?;
 
