@@ -457,8 +457,8 @@ impl BuildCaches {
 
     /// Pre-seed the extraction memo with an externally computed result for
     /// the page whose fingerprint is `fp`. The streaming ingest dataflow
-    /// (`woc-stream`) extracts pages in its own pipelined workers as they
-    /// arrive; seeding the memo lets the micro-epoch replay hit instead of
+    /// (`woc-stream`) extracts pages in its ingest stage as they arrive;
+    /// seeding the memo lets the micro-epoch replay hit instead of
     /// re-extracting. The caller certifies the purity contract every memo
     /// relies on: `records` is exactly what [`Self::memo_extract`]'s `f`
     /// would produce for a page with this fingerprint. The entry is tagged

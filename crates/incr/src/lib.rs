@@ -264,8 +264,8 @@ impl IncrEngine {
 
     /// Pre-seed the engine's extraction memo with an externally computed
     /// result for the page whose content fingerprint is `fp` — the seam the
-    /// streaming ingest dataflow (`woc-stream`) feeds its pipelined extract
-    /// stage through, so the next [`Self::maintain`] replay hits the memo
+    /// streaming ingest dataflow (`woc-stream`) feeds its ingest stage's
+    /// extractions through, so the next [`Self::maintain`] replay hits the memo
     /// instead of re-extracting the page. The caller certifies `records` is
     /// exactly what the pipeline's extraction stage would produce for a
     /// page with this fingerprint; a wrong seed would break the

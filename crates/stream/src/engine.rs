@@ -2,6 +2,7 @@
 //! and the journal.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,26 +16,21 @@ use woc_incr::{FaultHook, IncrEngine};
 use woc_serve::ConceptServer;
 use woc_webgen::{Page, WebCorpus};
 
-use crate::channel::bounded;
-use crate::stages::{
-    extract_worker, fingerprint_stage, removal_fingerprint, PageEvent, Ready, Seq,
-};
+use crate::stages::{ingest_stage, removal_fingerprint, Change, PageEvent};
 use crate::watermark::{MicroEpoch, Watermark};
 
 /// Tunables for the streaming dataflow.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Capacity of each inter-stage channel. Small on purpose: the queues
-    /// are for smoothing, not absorbing — a lagging stage must throttle
-    /// its upstream, and the commit stage's reorder buffer stays bounded
-    /// by `2 × channel_capacity + extract_workers` in-flight messages.
+    /// Capacity of the channel from the ingest stage to the commit stage
+    /// (0 makes it a rendezvous). Small on purpose: the queue is for
+    /// smoothing, not absorbing — a lagging commit stage must throttle
+    /// ingest.
     pub channel_capacity: usize,
-    /// Parallel extraction workers.
-    pub extract_workers: usize,
     /// Content-defined micro-epoch cut: a change whose fingerprint `fp`
     /// satisfies `fp & cut_mask == 0` closes the current batch, so epoch
     /// boundaries are a function of page *content* (average batch size
-    /// `cut_mask + 1` changes), never of arrival timing or worker count.
+    /// `cut_mask + 1` changes), never of arrival timing or thread count.
     pub cut_mask: u64,
     /// Hard batch-size cap: close the micro-epoch when this many distinct
     /// URLs are pending even if no content cut fired (bounds publish
@@ -48,7 +44,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         Self {
             channel_capacity: 32,
-            extract_workers: 4,
             cut_mask: 0x3,
             max_batch_pages: 64,
             pipeline: PipelineConfig::default(),
@@ -64,7 +59,7 @@ pub struct StreamReport {
     /// Events dropped by change detection (no-op recrawls, removals of
     /// unknown URLs).
     pub deduped: u64,
-    /// Pages whose extraction the parallel stage computed.
+    /// Pages whose extraction the ingest stage computed.
     pub pages_extracted: u64,
     /// Micro-epochs committed to the journal during this run.
     pub micro_epochs: usize,
@@ -121,7 +116,7 @@ pub struct StreamEngine {
     incr: IncrEngine,
     corpus: WebCorpus,
     /// The stream's eager fingerprint map: reflects every event the
-    /// fingerprint stage accepted, including not-yet-committed ones.
+    /// ingest stage accepted, including not-yet-committed ones.
     fps: HashMap<String, u64>,
     watermark: Watermark,
     journal: Vec<MicroEpoch>,
@@ -230,12 +225,12 @@ impl StreamEngine {
 
     /// Drain `events` through the staged dataflow and quiesce.
     ///
-    /// The fingerprint stage runs on its own thread (sequential — it is
-    /// the determinism anchor), `extract_workers` threads extract in
-    /// parallel, and the commit stage runs on the calling thread,
-    /// restoring input order from sequence numbers before batching. All
-    /// stages are joined before this returns; a panic in any stage
-    /// propagates.
+    /// The ingest stage (dedup, then extraction) runs on one spawned
+    /// thread and sends changes in input order over a bounded
+    /// [`sync_channel`] to the commit stage on the calling thread. Both
+    /// stages are joined before this returns and a panic in either
+    /// propagates: if the commit stage unwinds, its receiver drops, the
+    /// ingest stage's next send fails and that thread exits.
     ///
     /// Publishing happens *during* the run, micro-epoch by micro-epoch,
     /// through `server` — queries against the server see each published
@@ -254,11 +249,7 @@ impl StreamEngine {
             self.config.pipeline.use_lists,
             self.config.pipeline.use_detail,
         );
-        let workers = self.config.extract_workers.max(1);
-        let (change_tx, change_rx) = bounded(self.config.channel_capacity);
-        let (ready_tx, ready_rx) = bounded(self.config.channel_capacity);
-
-        // Split borrows: the fingerprint map goes to the stage thread,
+        // Split borrows: the fingerprint map goes to the ingest thread,
         // everything else stays with the commit loop on this thread.
         let fps = &mut self.fps;
         let mut committer = Committer {
@@ -276,42 +267,11 @@ impl StreamEngine {
         let events = events.into_iter();
 
         let stats = crossbeam::scope(|s| {
-            let fp_handle = s.spawn(move |_| {
-                let stats = fingerprint_stage(events, fps, &change_tx);
-                drop(change_tx);
-                stats
-            });
-            for _ in 0..workers {
-                let rx = change_rx.clone();
-                let tx = ready_tx.clone();
-                let profiles = &profiles;
-                s.spawn(move |_| extract_worker(&rx, &tx, profiles, use_lists, use_detail));
-            }
-            // Drop the originals so channel close is worker-countdown only.
-            drop(change_rx);
-            drop(ready_tx);
-
-            // Commit stage: restore input order from sequence numbers.
-            // The reorder buffer is bounded by what can be in flight:
-            // both channels plus one message per worker.
-            let mut reorder: BTreeMap<u64, Ready> = BTreeMap::new();
-            let mut next_seq: u64 = 0;
-            while let Some(Seq { seq, msg }) = ready_rx.recv() {
-                reorder.insert(seq, msg);
-                while let Some(msg) = reorder.remove(&next_seq) {
-                    next_seq += 1;
-                    committer.integrate(msg);
-                }
-            }
-            assert!(
-                reorder.is_empty(),
-                "invariant: the change sequence is dense, so a drained \
-                 stream leaves no out-of-order remainder"
-            );
-            // Quiesce: whatever is still batched commits now, content cut
-            // or not.
-            committer.flush();
-            match fp_handle.join() {
+            let (tx, rx) = sync_channel(self.config.channel_capacity);
+            let ingest =
+                s.spawn(move |_| ingest_stage(events, fps, &profiles, use_lists, use_detail, &tx));
+            committer.drain(rx);
+            match ingest.join() {
                 Ok(stats) => stats,
                 Err(payload) => std::panic::resume_unwind(payload),
             }
@@ -343,17 +303,29 @@ struct Committer<'a> {
 }
 
 impl Committer<'_> {
+    /// Fold every change from the ingest stage into batches, then quiesce:
+    /// whatever is still batched commits, content cut or not. Takes the
+    /// receiver by value so an unwinding commit stage drops it.
+    fn drain(&mut self, rx: Receiver<Change>) {
+        for change in rx {
+            self.integrate(change);
+        }
+        if !self.pending.is_empty() {
+            self.close_micro_epoch();
+        }
+    }
+
     /// Fold one in-order change into the open batch, then cut if its
     /// content says so. Deliberately *not* a lint hot-path: closing a
     /// batch runs the whole incremental build, which is maintenance, not
-    /// request serving — the per-event hot paths are the stages.
-    fn integrate(&mut self, msg: Ready) {
-        let cut_fp = match &msg {
-            Ready::Updated { fp, .. } => *fp,
-            Ready::Removed { url, .. } => removal_fingerprint(url),
+    /// request serving — the per-event hot path is the ingest stage.
+    fn integrate(&mut self, change: Change) {
+        let cut_fp = match &change {
+            Change::Updated { fp, .. } => *fp,
+            Change::Removed { url, .. } => removal_fingerprint(url),
         };
-        match msg {
-            Ready::Updated {
+        match change {
+            Change::Updated {
                 page,
                 fp,
                 old_fp,
@@ -373,7 +345,7 @@ impl Committer<'_> {
                     }
                 }
             }
-            Ready::Removed { url, old_fp } => match self.pending.entry(url) {
+            Change::Removed { url, old_fp } => match self.pending.entry(url) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     e.get_mut().state = PendingState::Removed;
                 }
@@ -386,13 +358,6 @@ impl Committer<'_> {
             },
         }
         if cut_fp & self.cut_mask == 0 || self.pending.len() >= self.max_batch_pages {
-            self.close_micro_epoch();
-        }
-    }
-
-    /// Quiesce: commit the open batch regardless of content cuts.
-    fn flush(&mut self) {
-        if !self.pending.is_empty() {
             self.close_micro_epoch();
         }
     }
@@ -442,7 +407,7 @@ impl Committer<'_> {
         }
 
         // Seed the extraction memos so the maintenance replay hits them
-        // instead of re-extracting what the parallel stage already did.
+        // instead of re-extracting what the ingest stage already did.
         for p in self.pending.values() {
             if let PendingState::Updated { fp, records, .. } = &p.state {
                 self.incr.seed_extraction(*fp, records.clone());

@@ -12,36 +12,36 @@
 //! semantic fork.
 //!
 //! ```text
-//!                 bounded channel             bounded channel
-//!  PageEvent ──▶ [fingerprint/dedup] ──seq──▶ [extract ×N] ──seq──▶ [commit]
-//!                 sequential: assigns          parallel: pure          reorder by seq,
-//!                 seq numbers, drops           fn of page              coalesce per URL,
-//!                 no-op recrawls               content                 content-defined cut
-//!                                                                        │ cut
-//!                                                                        ▼
-//!                                                          seed memos → IncrEngine::maintain
-//!                                                                        │ SegmentDelta
-//!                                                                        ▼
-//!                                                  ConceptServer::publish_delta_segmented
-//!                                                  (readers never block, cache retained)
+//!                  bounded sync_channel
+//!  PageEvent ──▶ [ingest] ──────────────▶ [commit]
+//!                 own thread: drops        calling thread: coalesce per
+//!                 no-op recrawls, then     URL, content-defined cut
+//!                 extracts the page          │ cut
+//!                                            ▼
+//!                              seed memos → IncrEngine::maintain
+//!                                            │ SegmentDelta
+//!                                            ▼
+//!                          ConceptServer::publish_delta_segmented
+//!                          (readers never block, cache retained)
 //! ```
 //!
-//! **Backpressure.** Stages are connected by bounded MPMC channels built
-//! on `Mutex`+`Condvar` ([`channel`]): when the commit stage is busy
-//! publishing, the extract workers fill their output channel and park;
-//! when the workers are saturated, the fingerprint stage parks; pressure
-//! propagates to the input instead of accumulating in unbounded queues.
-//! The commit-side reorder buffer is bounded too — by total channel
-//! capacity plus one message per worker — because sequence numbers are
-//! dense. The stage graph is acyclic, so there is no deadlock to have:
-//! the chaos suite runs the whole dataflow under fault injection behind a
-//! watchdog to keep it that way.
+//! **Backpressure.** The two stages are joined by one bounded
+//! [`std::sync::mpsc::sync_channel`]: when the commit stage is busy
+//! publishing, the channel fills and the ingest thread parks in `send`, so
+//! pressure propagates to the input instead of accumulating in an
+//! unbounded queue. One producer and a FIFO channel keep changes in input
+//! order, so nothing reorders them. The commit stage owns the receiver: if
+//! it panics, the receiver drops, the ingest thread's parked `send` fails,
+//! that thread exits and the panic propagates out of
+//! [`StreamEngine::run`] instead of hanging it
+//! (`tests/commit_panic.rs`). The chaos suite runs the whole dataflow
+//! under fault injection behind a watchdog.
 //!
 //! **Micro-epochs are content-defined.** A change whose fingerprint has
 //! its low [`StreamConfig::cut_mask`] bits zero closes the open batch
 //! (think content-defined chunking, applied to time instead of bytes).
 //! Epoch boundaries are therefore a pure function of *what was crawled* —
-//! two runs of the same event stream cut identically at any worker count,
+//! two runs of the same event stream cut identically at any thread count,
 //! channel capacity, or machine load, which is what makes the journal
 //! replayable and the equivalence suite meaningful. Each committed
 //! micro-epoch advances a [`Watermark`]: a cumulative event count plus a
@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 mod engine;
 mod stages;
 mod watermark;

@@ -1,27 +1,24 @@
-//! The pipelined stages: change detection and parallel extraction.
+//! The ingest stage: change detection and extraction on one thread.
 //!
 //! ```text
-//!  events ──▶ [fingerprint] ──seq──▶ [extract ×N] ──seq──▶ [commit]
-//!             sequential,            parallel,             sequential,
-//!             assigns seq,           content-keyed         reorders by seq
-//!             drops no-ops           pure work
+//!  events ──▶ [ingest] ──sync_channel──▶ [commit]
+//!             dedup by fingerprint,      in input order:
+//!             extract survivors          coalesce, cut, publish
 //! ```
 //!
-//! The fingerprint stage is the determinism anchor: it runs alone, sees
-//! events in input order, drops recrawls whose content fingerprint did not
-//! change, and stamps every surviving change with a dense sequence number.
-//! Extraction then parallelizes freely — it computes a pure function of
-//! page content — and the commit stage restores input order from the
-//! sequence numbers, so nothing downstream can observe scheduling.
+//! The ingest stage is the determinism anchor: it runs alone, sees events
+//! in input order, drops recrawls whose content fingerprint did not change,
+//! and extracts every surviving update (a pure function of page content)
+//! before sending it on. One producer and one FIFO channel keep input order
+//! end to end, so nothing downstream can observe scheduling.
 
 use std::collections::HashMap;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use woc_extract::lists::ConceptProfile;
 use woc_extract::ExtractedRecord;
 use woc_webgen::{Fnv1a, Page};
-
-use crate::channel::{Receiver, Sender};
 
 /// One crawl observation entering the stream.
 #[derive(Debug, Clone)]
@@ -32,30 +29,10 @@ pub enum PageEvent {
     Removed(String),
 }
 
-/// A stage message stamped with its position in the deduplicated change
-/// sequence.
-pub(crate) struct Seq<T> {
-    pub seq: u64,
-    pub msg: T,
-}
-
-/// Output of the fingerprint stage: a page change that survived dedup.
-/// Pages ride boxed so a channel slot (and a removal) stays pointer-sized.
+/// Output of the ingest stage: a page change that survived dedup, with its
+/// extraction. Pages ride boxed so a channel slot (and a removal) stays
+/// small.
 pub(crate) enum Change {
-    Updated {
-        page: Box<Page>,
-        fp: u64,
-        old_fp: Option<u64>,
-    },
-    Removed {
-        url: String,
-        old_fp: u64,
-    },
-}
-
-/// Output of an extract worker: the change plus its extraction, ready for
-/// the commit stage to reorder and batch.
-pub(crate) enum Ready {
     Updated {
         page: Box<Page>,
         fp: u64,
@@ -68,9 +45,9 @@ pub(crate) enum Ready {
     },
 }
 
-/// What the fingerprint stage saw, for the stream report.
+/// What the ingest stage saw, for the stream report.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FingerprintStats {
+pub(crate) struct IngestStats {
     pub events_in: u64,
     /// Events dropped because nothing changed: a recrawl with an identical
     /// fingerprint, or a removal of a URL the stream never saw.
@@ -87,20 +64,22 @@ pub(crate) fn removal_fingerprint(url: &str) -> u64 {
     h.finish()
 }
 
-/// The sequential change-detection stage: dedup against the live
-/// fingerprint map, stamp survivors with dense sequence numbers, and push
-/// them downstream (blocking when extraction lags — this is where input
-/// backpressure originates). `fps` is the stream's view of the latest
-/// crawled content and is updated eagerly, so intra-batch recrawls dedup
-/// correctly before the batch ever commits.
+/// The sequential ingest stage: dedup against the live fingerprint map,
+/// run the pipeline's extraction on surviving updates, pass removals
+/// through, and push each change downstream (blocking when the commit
+/// stage lags — this is where input backpressure originates). `fps` is the
+/// stream's view of the latest crawled content and is updated eagerly, so
+/// intra-batch recrawls dedup correctly before the batch ever commits.
 // woc-lint: hot-path
-pub(crate) fn fingerprint_stage(
+pub(crate) fn ingest_stage(
     events: impl Iterator<Item = PageEvent>,
     fps: &mut HashMap<String, u64>,
-    out: &Sender<Seq<Change>>,
-) -> FingerprintStats {
-    let mut stats = FingerprintStats::default();
-    let mut seq: u64 = 0;
+    profiles: &[ConceptProfile],
+    use_lists: bool,
+    use_detail: bool,
+    out: &SyncSender<Change>,
+) -> IngestStats {
+    let mut stats = IngestStats::default();
     for event in events {
         stats.events_in += 1;
         let change = match event {
@@ -112,10 +91,14 @@ pub(crate) fn fingerprint_stage(
                     continue;
                 }
                 fps.insert(page.url.clone(), fp);
+                let records = Arc::new(woc_core::extract_page_with(
+                    &page, profiles, use_lists, use_detail,
+                ));
                 Change::Updated {
                     page: Box::new(page),
                     fp,
                     old_fp,
+                    records,
                 }
             }
             PageEvent::Removed(url) => match fps.remove(&url) {
@@ -126,49 +109,13 @@ pub(crate) fn fingerprint_stage(
                 }
             },
         };
-        let msg = Seq { seq, msg: change };
-        seq += 1;
-        if out.send(msg).is_err() {
-            // Commit side aborted; nothing downstream will look at the
-            // rest of the input.
+        if out.send(change).is_err() {
+            // The commit stage is gone (it returned or unwound); nothing
+            // will look at the rest of the input.
             break;
         }
     }
     stats
-}
-
-/// One extraction worker: pull changes, run the pipeline's extraction
-/// stage on updated pages (a pure function of page content), pass
-/// removals through untouched. Workers share both channel ends; each
-/// drops its sender clone on exit, and the last drop closes the commit
-/// stage's input.
-// woc-lint: hot-path
-pub(crate) fn extract_worker(
-    rx: &Receiver<Seq<Change>>,
-    tx: &Sender<Seq<Ready>>,
-    profiles: &[ConceptProfile],
-    use_lists: bool,
-    use_detail: bool,
-) {
-    while let Some(Seq { seq, msg }) = rx.recv() {
-        let ready = match msg {
-            Change::Updated { page, fp, old_fp } => {
-                let records = Arc::new(woc_core::extract_page_with(
-                    &page, profiles, use_lists, use_detail,
-                ));
-                Ready::Updated {
-                    page,
-                    fp,
-                    old_fp,
-                    records,
-                }
-            }
-            Change::Removed { url, old_fp } => Ready::Removed { url, old_fp },
-        };
-        if tx.send(Seq { seq, msg: ready }).is_err() {
-            return;
-        }
-    }
 }
 
 #[cfg(test)]

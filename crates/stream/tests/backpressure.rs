@@ -1,5 +1,5 @@
 //! Backpressure and watermark properties: the dataflow stays correct when
-//! the channels are too small to absorb anything (every stage throttles),
+//! the channel is too small to absorb anything (ingest throttles),
 //! batch sizes respect their cap, and the watermark algebra holds for
 //! arbitrary transition sets.
 
@@ -12,17 +12,22 @@ use woc_serve::{ConceptServer, ServeConfig};
 use woc_stream::{PageEvent, StreamConfig, StreamEngine, Watermark};
 use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, World, WorldConfig};
 
-/// Single-slot channels, more workers than slots, a hard 3-page batch cap:
-/// the stream must throttle end to end and still quiesce byte-identically,
-/// with no journal entry exceeding the cap.
+/// A rendezvous channel and a single-slot one, each with a hard 3-page
+/// batch cap: the stream must throttle end to end and still quiesce
+/// byte-identically, with no journal entry exceeding the cap.
 #[test]
 fn single_slot_channels_throttle_but_stay_exact() {
+    for channel_capacity in [0, 1] {
+        throttle_scenario(channel_capacity);
+    }
+}
+
+fn throttle_scenario(channel_capacity: usize) {
     let mut world = World::generate(WorldConfig::tiny(503));
     let corpus_cfg = CorpusConfig::tiny(53);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
     let config = StreamConfig {
-        channel_capacity: 1,
-        extract_workers: 8,
+        channel_capacity,
         // Never cut on content: every micro-epoch closes on the size cap,
         // so the cap is what this test exercises.
         cut_mask: u64::MAX,

@@ -23,8 +23,7 @@ const WATCHDOG: Duration = Duration::from_secs(120);
 
 fn stream_config() -> StreamConfig {
     StreamConfig {
-        extract_workers: 4,
-        // Small channels so backpressure actually engages under the test
+        // A small channel so backpressure actually engages under the test
         // corpus sizes.
         channel_capacity: 4,
         pipeline: PipelineConfig {

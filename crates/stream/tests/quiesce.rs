@@ -1,6 +1,6 @@
 //! The stream's headline invariant: after quiescing, the streamed web is
 //! **byte-identical** ([`woc_incr::canonical_bytes`]) to a from-scratch
-//! batch build of the same final crawl — at any churn rate and any worker
+//! batch build of the same final crawl — at any churn rate and any thread
 //! count — and the full audit (including the stream's own W015) passes.
 //! The `stream` CI job runs exactly these tests.
 
@@ -22,11 +22,10 @@ fn churn_until_events(world: &mut World, rate: f64, tick: Tick, mut seed: u64) {
     }
 }
 
-fn stream_config(workers: usize) -> StreamConfig {
+fn stream_config(threads: usize) -> StreamConfig {
     StreamConfig {
-        extract_workers: workers,
         pipeline: PipelineConfig {
-            threads: 2,
+            threads,
             ..PipelineConfig::default()
         },
         ..StreamConfig::default()
@@ -66,14 +65,14 @@ fn assert_quiesced_clean(engine: &StreamEngine) {
     );
 }
 
-/// Seed from crawl v1, churn at `rate`, stream the recrawl through
-/// `workers` extract workers, and require byte-identity with a
+/// Seed from crawl v1, churn at `rate`, stream the recrawl with a
+/// `threads`-thread pipeline, and require byte-identity with a
 /// from-scratch batch build plus a clean audit.
-fn quiesce_scenario(rate: f64, workers: usize) {
+fn quiesce_scenario(rate: f64, threads: usize) {
     let mut world = World::generate(WorldConfig::tiny(500));
     let corpus_cfg = CorpusConfig::tiny(50);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(workers));
+    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(threads));
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
 
     churn_until_events(&mut world, rate, Tick(10), 1);
@@ -99,12 +98,12 @@ fn quiesce_scenario(rate: f64, workers: usize) {
         changed
     });
 
-    let fresh = build(&corpus_v2, &stream_config(workers).pipeline);
+    let fresh = build(&corpus_v2, &stream_config(threads).pipeline);
     assert_eq!(
         canonical_bytes(engine.web()),
         canonical_bytes(&fresh),
         "streamed web must be byte-identical to a batch build \
-         (rate {rate}, {workers} workers)"
+         (rate {rate}, {threads} threads)"
     );
     assert_eq!(
         server.epoch(),
@@ -120,29 +119,29 @@ fn quiesce_scenario(rate: f64, workers: usize) {
 }
 
 #[test]
-fn quiesce_equivalent_at_1pct_churn_1_worker() {
+fn quiesce_equivalent_at_1pct_churn_1_thread() {
     quiesce_scenario(0.01, 1);
 }
 
 #[test]
-fn quiesce_equivalent_at_1pct_churn_8_workers() {
+fn quiesce_equivalent_at_1pct_churn_8_threads() {
     quiesce_scenario(0.01, 8);
 }
 
 #[test]
-fn quiesce_equivalent_at_50pct_churn_1_worker() {
+fn quiesce_equivalent_at_50pct_churn_1_thread() {
     quiesce_scenario(0.5, 1);
 }
 
 #[test]
-fn quiesce_equivalent_at_50pct_churn_8_workers() {
+fn quiesce_equivalent_at_50pct_churn_8_threads() {
     quiesce_scenario(0.5, 8);
 }
 
 /// The journal — ordinals, watermarks, transitions, changed records — is a
-/// pure function of the event stream: worker count must not leak into it.
+/// pure function of the event stream: thread count must not leak into it.
 #[test]
-fn journal_deterministic_across_worker_counts() {
+fn journal_deterministic_across_thread_counts() {
     let mut world = World::generate(WorldConfig::tiny(500));
     let corpus_cfg = CorpusConfig::tiny(50);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
@@ -151,8 +150,8 @@ fn journal_deterministic_across_worker_counts() {
     let events = event_stream(&corpus_v1, &corpus_v2);
 
     let mut journals = Vec::new();
-    for workers in [1usize, 8] {
-        let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(workers));
+    for threads in [1usize, 8] {
+        let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(threads));
         let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
         let report = engine.run(events.clone(), &server);
         assert_eq!(report.publish_failures, 0);
