@@ -512,10 +512,10 @@ pub struct PageChangeView {
     pub new_fp: Option<u64>,
 }
 
-/// The stream-side facts W015 verifies, reported by the streaming ingest
-/// tier (`woc-stream`) for each published micro-epoch as plain data so
-/// this crate never depends on it — the same layering as W013's
-/// [`ShardCoverageView`].
+/// The stream-side facts W015 verifies: one entry of the streaming ingest
+/// tier's (`woc-stream`) micro-epoch journal, which stores exactly these
+/// records. Plain data, so this crate never depends on the stream — the
+/// same layering as W013's [`ShardCoverageView`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MicroEpochView {
     /// Position in the journal; the first micro-epoch of a stream is 0.

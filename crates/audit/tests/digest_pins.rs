@@ -69,12 +69,14 @@ fn record_index_digests_are_pinned() {
         RecordChange {
             id: LrecId(2),
             concept: ConceptId(0),
-            tokens: Some(toks(&["farolito", "nuevo", "oakland"])),
+            old_tokens: None,
+            new_tokens: Some(toks(&["farolito", "nuevo", "oakland"])),
         },
         RecordChange {
             id: LrecId(3),
             concept: ConceptId(1),
-            tokens: None,
+            old_tokens: None,
+            new_tokens: None,
         },
     ]);
     assert_eq!(seg.digest(), 0x8e19_359f_2185_762c);

@@ -16,7 +16,7 @@ use woc_audit::AuditConfig;
 use woc_chaos::ShardFaultProfile;
 use woc_cluster::{ClusterConfig, ClusterServer, Coverage};
 use woc_core::{build, PipelineConfig, WebOfConcepts};
-use woc_incr::{segment_delta, IncrEngine, MaintainReport};
+use woc_incr::{IncrEngine, MaintainReport};
 use woc_index::{FieldQuery, MergePolicy};
 use woc_lrec::{LrecId, Tick};
 use woc_serve::SegmentDelta;
@@ -97,7 +97,7 @@ fn publish_pass(
     cluster.publish(
         corpus,
         engine.web().clone(),
-        &segment_delta(report),
+        &report.delta,
         Arc::new(engine.segments().clone()),
     )
 }
@@ -667,10 +667,10 @@ fn segmented_delta_publish_rebuilds_only_changed_shards() {
     assert!(!report.short_circuited);
     assert!(report.effective_change);
     assert!(
-        !report.stats_repinned,
+        !report.delta.stats_repinned,
         "low churn must ride on the pinned statistics"
     );
-    assert!(!report.changed_records.is_empty());
+    assert!(!report.delta.changed_records.is_empty());
 
     let epoch = publish_pass(&cluster, &corpus_v2, &engine, &report);
     assert_eq!(epoch, 2);
@@ -689,7 +689,7 @@ fn segmented_delta_publish_rebuilds_only_changed_shards() {
     // side; every other shard re-shipped its old `Arc`.
     let pm = cluster.partition();
     let mut changed_shards: Vec<bool> = vec![false; shards];
-    for &id in &report.changed_records {
+    for &id in &report.delta.changed_records {
         // A changed record dirties its owner in the new map; a deleted
         // record dirties the shard that owned it in the old map.
         for m in [&pm, &pm_before] {

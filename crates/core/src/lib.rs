@@ -46,7 +46,7 @@ pub use feed::{ingest_feed, parse_feed, Feed, FeedError, FeedRecord, FeedReport}
 pub use graph::{record_links, reverse_links, AssocKind, ConceptWeb};
 pub use lineage::{Lineage, LineageNode, NodeId, NodeKind, QuarantineScope};
 pub use maintain::{recrawl, MaintenanceReport};
-pub use memo::{doc_tokens, BuildCaches, CacheStats, RecordIndexChange};
+pub use memo::{doc_tokens, BuildCaches, CacheStats};
 pub use parallel::{resolve_threads, shard_map};
 pub use pipeline::{
     build, build_with_caches, detail_extract, extract_page, extract_page_with, record_entries,

@@ -106,8 +106,8 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 use woc_extract::ExtractedRecord;
-use woc_index::{DocId, InvertedIndex, LrecIndex};
-use woc_lrec::{ConceptId, Lrec, LrecId, Store};
+use woc_index::{DocId, InvertedIndex, LrecIndex, RecordChange};
+use woc_lrec::{Lrec, LrecId, Store};
 use woc_matching::blocking_keys;
 use woc_textkit::tokenize::tokenize_words;
 use woc_textkit::Fnv1a;
@@ -155,24 +155,6 @@ pub(crate) fn digest_strs(items: &[&str]) -> u64 {
 /// (`woc-cluster`) all tokenize through here.
 pub fn doc_tokens(page: &Page) -> Vec<String> {
     tokenize_words(&format!("{} {}", page.title, page.text()))
-}
-
-/// One record-index mutation observed by a maintenance pass: the token
-/// list a record was indexed under before and after. `None` on one side
-/// marks an insertion (`old_tokens`) or a removal (`new_tokens`). These
-/// are exactly the changes a segmented index (`woc-index::segment`) must
-/// absorb as a delta segment to stay equal to a flat rebuild.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordIndexChange {
-    /// The record that changed.
-    pub id: LrecId,
-    /// The concept owning the record (the new owner for upserts, the old
-    /// one for removals).
-    pub concept: ConceptId,
-    /// Tokens the record was indexed under before the pass, if it existed.
-    pub old_tokens: Option<Vec<String>>,
-    /// Tokens the record is indexed under after the pass, if it survives.
-    pub new_tokens: Option<Vec<String>>,
 }
 
 /// One record as pipeline stage B types it from a page: everything the
@@ -254,7 +236,7 @@ pub struct CacheStats {
     /// Per-record index mutations this pass, diffed against the previous
     /// pass regardless of whether the index was patched or rebuilt. Empty
     /// on a cold build (no previous pass to diff against).
-    pub record_changes: Vec<RecordIndexChange>,
+    pub record_changes: Vec<RecordChange>,
 }
 
 #[derive(Debug)]
@@ -415,6 +397,12 @@ impl BuildCaches {
     /// Counters of the most recent pass through these caches.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Move the most recent pass's [`CacheStats::record_changes`] out of
+    /// the counters, leaving them empty.
+    pub fn take_record_changes(&mut self) -> Vec<RecordChange> {
+        std::mem::take(&mut self.stats.record_changes)
     }
 
     /// The content fingerprint of every page of `corpus`, in page order.
@@ -624,7 +612,7 @@ impl BuildCaches {
     /// cached and the live sequence decides everything: a record that is
     /// the allocation its cached tokens came from (or equal to it) keeps
     /// them; any other is re-tokenized and, when its tokens or concept
-    /// moved, listed as a [`RecordIndexChange`]. Patching requires the
+    /// moved, listed as a [`RecordChange`]. Patching requires the
     /// `(id, concept)` sequence to be unchanged: a record insertion or
     /// removal renumbers every later internal doc id, in which case the
     /// index is rebuilt from the token lists.
@@ -638,9 +626,9 @@ impl BuildCaches {
             .into_iter()
             .peekable();
         let mut entries: Vec<(Arc<Lrec>, Vec<String>)> = Vec::new();
-        let mut changes: Vec<RecordIndexChange> = Vec::new();
+        let mut changes: Vec<RecordChange> = Vec::new();
         let mut same_sequence = warm;
-        let removal = |(rec, tokens): (Arc<Lrec>, Vec<String>)| RecordIndexChange {
+        let removal = |(rec, tokens): (Arc<Lrec>, Vec<String>)| RecordChange {
             id: rec.id(),
             concept: rec.concept(),
             old_tokens: Some(tokens),
@@ -669,7 +657,7 @@ impl BuildCaches {
                     let moved = !same_concept || old_tokens.as_ref() != Some(&tokens);
                     // A cold build has no previous pass to diff against.
                     if warm && moved {
-                        changes.push(RecordIndexChange {
+                        changes.push(RecordChange {
                             id,
                             concept: rec.concept(),
                             old_tokens,
@@ -771,6 +759,7 @@ impl BuildCaches {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use woc_lrec::ConceptId;
 
     /// Three hand-built records whose digests were taken at the commit
     /// before `content_digest` stopped rendering through a `String`: the

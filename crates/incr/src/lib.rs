@@ -40,11 +40,16 @@
 //!    records whose stored value moved are tokenized again
 //!    ([`MaintainReport::record_tokens_recomputed`]) — so a pass allocates,
 //!    and retiring an epoch frees, about its delta.
-//! 4. **Delta publishing** — [`IncrEngine::maintain_and_publish`] folds the
-//!    pass into a [`woc_serve::SegmentDelta`] ([`segment_delta`]) and ships
-//!    the maintained web and its segmented index through the serving
-//!    tier's one publish door
-//!    ([`woc_serve::ConceptServer::publish_delta_segmented`]). An epoch is
+//! 4. **Delta publishing** — a pass says once what it changed:
+//!    [`IncrEngine::maintain`] builds the [`woc_serve::SegmentDelta`] it
+//!    will publish ([`MaintainReport::delta`]) from the record-index diff
+//!    the build emits (one [`woc_index::RecordChange`] per record whose
+//!    indexed tokens moved), and hands that same diff to the segmented
+//!    index as its next delta segment.
+//!    [`IncrEngine::maintain_and_publish`] ships the maintained web, its
+//!    segmented index and that delta through the serving tier's one
+//!    publish door ([`woc_serve::ConceptServer::publish_delta_segmented`]),
+//!    and the streaming ingest journals the same delta. An epoch is
 //!    one object: the engine holds its web behind an `Arc` and the publish
 //!    ships a clone of the pointer, so the engine, the served snapshot and
 //!    every pinned reader share one allocation — built once, never
@@ -68,8 +73,8 @@ use std::sync::Arc;
 
 use serde::{Serialize, Value};
 use woc_core::{build_with_caches, AssocKind, BuildCaches, PipelineConfig, WebOfConcepts};
-use woc_index::{MergePolicy, RecordChange, SegmentedLrecIndex};
-use woc_lrec::{ConceptId, LrecId};
+use woc_index::{MergePolicy, SegmentedLrecIndex};
+use woc_lrec::{ConceptId, Lrec, LrecId};
 use woc_serve::{ConceptServer, SegmentDelta};
 
 pub use woc_serve::MaintainError;
@@ -156,21 +161,30 @@ pub struct MaintainReport {
     /// is byte-identical — publishing it would drop a warm cache for
     /// nothing. Short-circuited passes report `false`.
     pub effective_change: bool,
-    /// Index terms whose posting lists this pass changed: the union of the
-    /// old and new token sequences of every record whose indexed tokens
-    /// moved (sorted, deduplicated). Exact — computed from the memo
-    /// layer's record-index diff, not approximated from lineage.
-    pub changed_terms: Vec<String>,
-    /// Canonical records whose stored content this pass may have changed
-    /// (sorted): the lineage-affected partition on both sides of the pass
-    /// plus every record the index diff touched. Conservative — a record
-    /// listed here may turn out byte-identical, but a record *not* listed
-    /// is guaranteed untouched.
-    pub changed_records: Vec<LrecId>,
-    /// The unfiltered candidate partition [`MaintainReport::changed_records`]
-    /// was filtered from: every canonical record lineage-derived from a
-    /// dirty, added or removed page (on either side of the pass) plus every
-    /// record the index diff touched (sorted). `changed_records ⊆
+    /// What the pass published, already folded: the plane flags, the
+    /// exact changed-term set, the changed-record set and whether the
+    /// segmented index re-pinned its statistics. A short-circuited or
+    /// ineffective pass leaves it the no-op delta with empty lists
+    /// ([`SegmentDelta::is_noop`]): same epoch, warm cache.
+    ///
+    /// `changed_terms` is the union of the old and new token sequences of
+    /// every record whose indexed tokens moved (sorted, deduplicated) —
+    /// exact, from the memo layer's record-index diff. `changed_records`
+    /// is the lineage-affected partition on both sides of the pass plus
+    /// every record the index diff touched, filtered to those whose stored
+    /// content or liveness moved (sorted). A record outside it *renders*
+    /// identically when served — its hydrated search hit is unchanged —
+    /// but its stored provenance may have moved: a pass that removes pages
+    /// can shift the trust or confidence recorded on records no changed
+    /// page derives. Those records stay off the list on purpose — listing
+    /// them would drop cached answers that are still correct.
+    /// (`tests/delta_completeness.rs` checks both sets against cold builds
+    /// of the crawls on either side of the pass.)
+    pub delta: SegmentDelta,
+    /// The unfiltered candidate partition `delta.changed_records` was
+    /// filtered from: every canonical record lineage-derived from a dirty,
+    /// added or removed page (on either side of the pass) plus every record
+    /// the index diff touched (sorted). `changed_records ⊆
     /// affected_records` by construction — the audit's W015 micro-epoch
     /// check verifies exactly this containment for every published
     /// micro-epoch of a streaming ingest.
@@ -178,9 +192,6 @@ pub struct MaintainReport {
     /// Delta-segment merges the segmented index's size-tiered policy ran
     /// while absorbing this pass.
     pub segment_merges: usize,
-    /// True when the segmented index compacted down to a single base and
-    /// re-pinned its corpus-global scoring statistics during this pass.
-    pub stats_repinned: bool,
 }
 
 /// A pre-rebuild gate: sees the change set, returns `Err(reason)` to abort
@@ -418,38 +429,36 @@ impl IncrEngine {
             cheap_change || canonical_bytes(&new_web) != canonical_bytes(&self.web);
 
         // The retention scope of the pass, in the cache's vocabulary: the
-        // exact terms whose posting lists moved (from the memo layer's
-        // record-index diff) and a conservative superset of the records
-        // whose content may have moved (the lineage-affected partition on
-        // both sides, plus everything the index diff touched).
-        let record_changes = self.caches.stats().record_changes.clone();
-        let mut changed_terms: BTreeSet<String> = BTreeSet::new();
-        for c in &record_changes {
-            for t in c
-                .old_tokens
-                .iter()
-                .flatten()
-                .chain(c.new_tokens.iter().flatten())
-            {
-                changed_terms.insert(t.clone());
-            }
-        }
-        report.changed_terms = changed_terms.into_iter().collect();
-        // Candidate changed records: the lineage-affected partition on both
-        // sides plus everything the index diff touched. Lineage is
+        // exact terms whose posting lists moved (the memo layer's
+        // record-index diff) and the records whose stored content or
+        // liveness moved. The candidates are the lineage-affected partition
+        // on both sides plus everything the diff touched; lineage is
         // deliberately coarse — a dirty *list* page affects every record it
-        // mentions — so filter the candidates down to records whose stored
-        // content (or liveness) actually moved. The filtered set is still a
+        // mentions — so the published set is filtered down. It stays a
         // sound invalidation scope: any content change originates from a
         // changed page, and lineage captures every such record.
+        let record_changes = self.caches.take_record_changes();
         let mut candidates = affected;
         candidates.extend(affected_new);
         candidates.extend(record_changes.iter().map(|c| c.id));
         report.affected_records = candidates.iter().copied().collect();
-        report.changed_records = candidates
-            .into_iter()
-            .filter(|&id| self.web.store.latest(id) != new_web.store.latest(id))
-            .collect();
+        if report.effective_change {
+            let changed_terms: BTreeSet<&String> = record_changes
+                .iter()
+                .flat_map(|c| c.old_tokens.iter().chain(&c.new_tokens).flatten())
+                .collect();
+            report.delta = SegmentDelta {
+                records_changed: report.records_affected > 0 || report.records_tombstoned > 0,
+                // Any dirty/added/removed page perturbs the doc index.
+                docs_changed: report.pages_dirty > 0,
+                changed_terms: changed_terms.into_iter().cloned().collect(),
+                changed_records: candidates
+                    .into_iter()
+                    .filter(|&id| served_record(&self.web, id) != served_record(&new_web, id))
+                    .collect(),
+                stats_repinned: false,
+            };
+        }
 
         // The swap frees nothing while the serving tier still holds the
         // outgoing epoch; the one deep drop per epoch happens wherever its
@@ -460,19 +469,14 @@ impl IncrEngine {
         // Absorb the pass into the segmented index as one delta segment
         // (newest-wins shadowing; tombstones for removals), letting the
         // size-tiered policy merge as it goes. An empty diff appends
-        // nothing, so the segment structure only grows on real change.
+        // nothing, so the segment structure only grows on real change —
+        // and a non-empty one always patched or rebuilt the record index,
+        // so the pass is effective and its delta carries the re-pin.
         if !record_changes.is_empty() {
-            let delta: Vec<RecordChange> = record_changes
-                .iter()
-                .map(|c| RecordChange {
-                    id: c.id,
-                    concept: c.concept,
-                    tokens: c.new_tokens.clone(),
-                })
-                .collect();
-            let outcome = self.segments.apply_delta(&delta);
+            debug_assert!(report.effective_change, "an index diff is a change");
+            let outcome = self.segments.apply_delta(&record_changes);
             report.segment_merges = outcome.merges;
-            report.stats_repinned = outcome.repinned;
+            report.delta.stats_repinned = outcome.repinned;
         }
         Ok(report)
     }
@@ -498,31 +502,29 @@ impl IncrEngine {
             .inspect_err(|err| server.record_maintain_failure(err))?;
         let epoch = server.publish_delta_segmented(
             Arc::clone(&self.web),
-            &segment_delta(&report),
+            &report.delta,
             Arc::new(self.segments.clone()),
         );
         Ok((report, epoch))
     }
 }
 
-/// Fold a maintenance report into the [`SegmentDelta`] a serving tier
-/// publishes with: the coarse plane flags plus the pass's exact
-/// changed-term set and conservative changed-record set. Short-circuited
-/// and *ineffective* passes (dirty pages whose recomputation produced a
-/// byte-identical web — see [`MaintainReport::effective_change`]) fold to a
-/// no-op ([`SegmentDelta::is_noop`]): same epoch, warm cache. `woc-cluster`
-/// publishes with the same fold.
+/// The [`SegmentDelta`] a pass published: [`MaintainReport::delta`].
+/// Kept only for the benchmark adapter, which calls it; the next change to
+/// the benchmark reads `report.delta` and deletes this.
 pub fn segment_delta(report: &MaintainReport) -> SegmentDelta {
-    let effective = !report.short_circuited && report.effective_change;
-    SegmentDelta {
-        records_changed: effective
-            && (report.records_affected > 0 || report.records_tombstoned > 0),
-        // Any dirty/added/removed page perturbs the doc index.
-        docs_changed: effective && report.pages_dirty > 0,
-        changed_terms: report.changed_terms.clone(),
-        changed_records: report.changed_records.clone(),
-        stats_repinned: report.stats_repinned,
-    }
+    report.delta.clone()
+}
+
+/// What a reader can be served of record `id`: its latest version while it
+/// is live. A record merged away or retracted serves nothing, though the
+/// store still holds its versions — so a merge, an un-merge or a
+/// retraction that leaves the stored content equal still counts as a
+/// change.
+fn served_record(woc: &WebOfConcepts, id: LrecId) -> Option<&Lrec> {
+    woc.store
+        .latest(id)
+        .filter(|_| woc.store.resolve(id) == Some(id))
 }
 
 /// URL → fingerprint, from the page-order fingerprints of `corpus`.

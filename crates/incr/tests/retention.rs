@@ -109,8 +109,13 @@ fn low_churn_maintenance_keeps_untouched_entries_warm() {
     ));
     assert!(audit.passed(), "{}", audit.render());
 
-    let changed_terms: BTreeSet<&str> = report.changed_terms.iter().map(String::as_str).collect();
-    let changed_records: BTreeSet<LrecId> = report.changed_records.iter().copied().collect();
+    let changed_terms: BTreeSet<&str> = report
+        .delta
+        .changed_terms
+        .iter()
+        .map(String::as_str)
+        .collect();
+    let changed_records: BTreeSet<LrecId> = report.delta.changed_records.iter().copied().collect();
     assert!(!changed_records.is_empty(), "churn touched some record");
 
     let (mut survivors, mut dropped) = (0usize, 0usize);

@@ -48,17 +48,23 @@ use crate::postings::DocId;
 /// Postings per block-max block in frozen segments.
 pub const SEGMENT_BLOCK: usize = 64;
 
-/// One record-level change for [`SegmentedLrecIndex::apply_delta`]: an
-/// upsert carries the record's full new token sequence (see
-/// [`LrecIndex::record_tokens`]); a removal carries `None`.
+/// One record-index mutation of a maintenance pass: the token sequence
+/// (see [`LrecIndex::record_tokens`]) a record was indexed under before and
+/// after. `None` on one side marks an insertion (`old_tokens`) or a removal
+/// (`new_tokens`). The build's record-index diff emits these, and they are
+/// exactly what [`SegmentedLrecIndex::apply_delta`] absorbs as a delta
+/// segment to stay equal to a flat rebuild; it reads only `new_tokens`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordChange {
     /// The record.
     pub id: LrecId,
-    /// Its concept.
+    /// Its concept: the new owner for upserts, the old one for removals.
     pub concept: ConceptId,
-    /// New token sequence, or `None` to tombstone the record.
-    pub tokens: Option<Vec<String>>,
+    /// Tokens the record was indexed under before the pass, if it existed.
+    pub old_tokens: Option<Vec<String>>,
+    /// Tokens the record is indexed under after the pass, or `None` to
+    /// tombstone it.
+    pub new_tokens: Option<Vec<String>>,
 }
 
 /// Deterministic merge policy: size-tiered delta merging plus a full
@@ -395,7 +401,7 @@ impl SegmentedLrecIndex {
         }
         let mut upserts: Vec<(LrecId, ConceptId, Vec<String>)> = changes
             .iter()
-            .filter_map(|c| c.tokens.as_ref().map(|t| (c.id, c.concept, t.clone())))
+            .filter_map(|c| c.new_tokens.as_ref().map(|t| (c.id, c.concept, t.clone())))
             .collect();
         upserts.sort_unstable_by_key(|(id, _, _)| *id);
         assert!(
@@ -403,7 +409,7 @@ impl SegmentedLrecIndex {
             "a delta must carry at most one change per record"
         );
         for c in changes {
-            if c.tokens.is_none() {
+            if c.new_tokens.is_none() {
                 self.tombstones.insert(c.id);
             } else {
                 self.tombstones.remove(&c.id);
@@ -680,17 +686,20 @@ mod tests {
             RecordChange {
                 id: LrecId(2),
                 concept: ConceptId(0),
-                tokens: Some(toks(&["farolito", "nuevo", "oakland"])),
+                old_tokens: None,
+                new_tokens: Some(toks(&["farolito", "nuevo", "oakland"])),
             },
             RecordChange {
                 id: LrecId(3),
                 concept: ConceptId(0),
-                tokens: None,
+                old_tokens: None,
+                new_tokens: None,
             },
             RecordChange {
                 id: LrecId(4),
                 concept: ConceptId(0),
-                tokens: Some(toks(&["udon", "house", "berkeley"])),
+                old_tokens: None,
+                new_tokens: Some(toks(&["udon", "house", "berkeley"])),
             },
         ]);
         assert!(out.delta_added);
@@ -722,7 +731,8 @@ mod tests {
         seg.apply_delta(&[RecordChange {
             id: LrecId(4),
             concept: ConceptId(1),
-            tokens: Some(toks(&["towards", "entity", "matching"])),
+            old_tokens: None,
+            new_tokens: Some(toks(&["towards", "entity", "matching"])),
         }]);
         assert_eq!(seg.delta_count(), 1);
         seg.compact();
@@ -747,7 +757,8 @@ mod tests {
             seg.apply_delta(&[RecordChange {
                 id: LrecId(10 + i),
                 concept: ConceptId(0),
-                tokens: Some(toks(&["extra"])),
+                old_tokens: None,
+                new_tokens: Some(toks(&["extra"])),
             }]);
         }
         // fanout=2 over single-record deltas collapses pairs as they appear.
@@ -784,7 +795,8 @@ mod tests {
         seg.apply_delta(&[RecordChange {
             id: LrecId(3),
             concept: ConceptId(0),
-            tokens: vec!["cupertino".into(), scoped_term("city", "cupertino")].into(),
+            old_tokens: None,
+            new_tokens: vec!["cupertino".into(), scoped_term("city", "cupertino")].into(),
         }]);
         let resolver = |n: &str| (n == "restaurant").then_some(ConceptId(0));
         for query in [

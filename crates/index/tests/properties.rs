@@ -284,7 +284,8 @@ proptest! {
                 .map(|(&id, v)| RecordChange {
                     id: LrecId(id),
                     concept: ConceptId(v.as_ref().map(|(c, _)| *c).unwrap_or(0)),
-                    tokens: v.as_ref().map(|(_, t)| t.clone()),
+                    old_tokens: None,
+                    new_tokens: v.as_ref().map(|(_, t)| t.clone()),
                 })
                 .collect();
             seg.apply_delta(&changes);

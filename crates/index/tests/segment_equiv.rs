@@ -197,7 +197,8 @@ fn churn_epoch(
             changes.push(RecordChange {
                 id: LrecId(id),
                 concept: ConceptId(concept),
-                tokens: None,
+                old_tokens: None,
+                new_tokens: None,
             });
         } else {
             let toks = gen_tokens(rng);
@@ -205,7 +206,8 @@ fn churn_epoch(
             changes.push(RecordChange {
                 id: LrecId(id),
                 concept: ConceptId(concept),
-                tokens: Some(toks),
+                old_tokens: None,
+                new_tokens: Some(toks),
             });
         }
     }
@@ -219,7 +221,8 @@ fn churn_epoch(
         changes.push(RecordChange {
             id: LrecId(id),
             concept: ConceptId(concept),
-            tokens: Some(toks),
+            old_tokens: None,
+            new_tokens: Some(toks),
         });
     }
     changes

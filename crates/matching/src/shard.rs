@@ -17,12 +17,12 @@ where
     }
     let shards = threads.min(items.len());
     let chunk = items.len().div_ceil(shards);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|shard| {
                 let f = &f;
-                scope.spawn(move |_| shard.iter().map(f).collect::<Vec<R>>())
+                scope.spawn(move || shard.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         let mut out = Vec::with_capacity(items.len());
@@ -31,7 +31,6 @@ where
         }
         out
     })
-    .expect("matching shard scope")
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@ use woc_webgen::Fnv1a;
 /// What a cached search answer depends on, for sound per-entry retention
 /// across epochs: the rendered query terms (free terms plus
 /// `field\u{1f}term` scoped renderings) that determine which records match
-/// and how they score under pinned statistics, and the result records whose
-/// stored content the hydration step read. An entry without a scope (the
+/// and how they score under pinned statistics, and the result records the
+/// hydration step rendered. An entry without a scope (the
 /// concept-box and recommendation endpoints, which also read document-side
 /// state) can only survive a publish that changed nothing at all.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -117,10 +117,15 @@ pub struct SegmentDelta {
     /// from this set keeps its result set and — under pinned statistics —
     /// its exact scores.
     pub changed_terms: Vec<String>,
-    /// Every record whose stored content the pass may have changed
+    /// Every record whose served rendering the pass may have changed
     /// (created, updated, merged or tombstoned), canonical ids, sorted. A
     /// cached answer hydrated only from records outside this set renders
-    /// byte-identically after the publish.
+    /// byte-identically after the publish. The set does not cover stored
+    /// provenance no rendering shows: a record outside it may carry moved
+    /// trust, confidence or observation times (a pass that removes pages
+    /// re-weighs the sources of records no changed page derives), and
+    /// listing such records would drop cached answers that are still
+    /// correct.
     pub changed_records: Vec<LrecId>,
     /// True when the shipped index pins fresh corpus-global statistics (it
     /// compacted during the pass, or was built cold): every score in the
@@ -403,8 +408,9 @@ impl ConceptServer {
     ///
     /// Retention soundness, entry by entry: a cached search answer is a
     /// pure function of (a) the posting lists of its query terms, (b) the
-    /// pinned scoring statistics, and (c) the stored content of its result
-    /// records. The delta certifies (a) unchanged when the entry's terms
+    /// pinned scoring statistics, and (c) the served rendering of its
+    /// result records (what hydration reads of them, not their stored
+    /// provenance). The delta certifies (a) unchanged when the entry's terms
     /// are disjoint from [`SegmentDelta::changed_terms`], (b) unchanged
     /// unless [`SegmentDelta::stats_repinned`], and (c) unchanged when the
     /// entry's records are disjoint from [`SegmentDelta::changed_records`]

@@ -154,7 +154,8 @@ fn segmented_delta_retains_untouched_entries_byte_identically() {
                 changes.push(RecordChange {
                     id,
                     concept: b.0,
-                    tokens: Some(b.1.clone()),
+                    old_tokens: None,
+                    new_tokens: Some(b.1.clone()),
                 });
                 changed_terms.extend(a.1.iter().cloned());
                 changed_terms.extend(b.1.iter().cloned());
@@ -163,7 +164,8 @@ fn segmented_delta_retains_untouched_entries_byte_identically() {
                 changes.push(RecordChange {
                     id,
                     concept: a.0,
-                    tokens: None,
+                    old_tokens: None,
+                    new_tokens: None,
                 });
                 changed_terms.extend(a.1.iter().cloned());
             }
@@ -171,7 +173,8 @@ fn segmented_delta_retains_untouched_entries_byte_identically() {
                 changes.push(RecordChange {
                     id,
                     concept: b.0,
-                    tokens: Some(b.1.clone()),
+                    old_tokens: None,
+                    new_tokens: Some(b.1.clone()),
                 });
                 changed_terms.extend(b.1.iter().cloned());
             }

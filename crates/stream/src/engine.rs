@@ -17,7 +17,7 @@ use woc_serve::ConceptServer;
 use woc_webgen::{Page, WebCorpus};
 
 use crate::stages::{ingest_stage, removal_fingerprint, Change, PageEvent};
-use crate::watermark::{MicroEpoch, Watermark};
+use crate::watermark::Watermark;
 
 /// Tunables for the streaming dataflow.
 #[derive(Debug, Clone)]
@@ -119,7 +119,7 @@ pub struct StreamEngine {
     /// ingest stage accepted, including not-yet-committed ones.
     fps: HashMap<String, u64>,
     watermark: Watermark,
-    journal: Vec<MicroEpoch>,
+    journal: Vec<MicroEpochView>,
     pending: BTreeMap<String, Pending>,
 }
 
@@ -184,14 +184,12 @@ impl StreamEngine {
         self.watermark
     }
 
-    /// The micro-epoch journal, oldest first.
-    pub fn journal(&self) -> &[MicroEpoch] {
+    /// The micro-epoch journal, oldest first: one entry per batch that
+    /// published (or proved ineffective), as the W015 audit check reads
+    /// it. Failed passes append nothing — their batch coalesces into the
+    /// next entry.
+    pub fn journal(&self) -> &[MicroEpochView] {
         &self.journal
-    }
-
-    /// The journal as the plain-data views the W015 audit check consumes.
-    pub fn journal_views(&self) -> Vec<MicroEpochView> {
-        self.journal.iter().map(MicroEpoch::view).collect()
     }
 
     /// Distinct URLs whose changes are batched but not yet committed.
@@ -206,8 +204,7 @@ impl StreamEngine {
         let mut a = audit(woc, cfg);
         a.checks
             .push(check_segments(woc, self.incr.segments(), cfg));
-        a.checks
-            .push(check_stream_epochs(&self.journal_views(), cfg));
+        a.checks.push(check_stream_epochs(&self.journal, cfg));
         a
     }
 
@@ -266,17 +263,16 @@ impl StreamEngine {
         };
         let events = events.into_iter();
 
-        let stats = crossbeam::scope(|s| {
+        let stats = std::thread::scope(|s| {
             let (tx, rx) = sync_channel(self.config.channel_capacity);
             let ingest =
-                s.spawn(move |_| ingest_stage(events, fps, &profiles, use_lists, use_detail, &tx));
+                s.spawn(move || ingest_stage(events, fps, &profiles, use_lists, use_detail, &tx));
             committer.drain(rx);
             match ingest.join() {
                 Ok(stats) => stats,
                 Err(payload) => std::panic::resume_unwind(payload),
             }
-        })
-        .expect("invariant: the stream scope closure does not panic");
+        });
 
         report.events_in = stats.events_in;
         report.deduped = stats.deduped;
@@ -295,7 +291,7 @@ struct Committer<'a> {
     incr: &'a mut IncrEngine,
     corpus: &'a mut WebCorpus,
     watermark: &'a mut Watermark,
-    journal: &'a mut Vec<MicroEpoch>,
+    journal: &'a mut Vec<MicroEpochView>,
     pending: &'a mut BTreeMap<String, Pending>,
     server: &'a ConceptServer,
     report: &'a mut StreamReport,
@@ -421,23 +417,18 @@ impl Committer<'_> {
                 let prev = *self.watermark;
                 *self.watermark = prev.advance(&changed);
                 let effective = mrep.effective_change;
-                self.journal.push(MicroEpoch {
+                self.journal.push(MicroEpochView {
                     ordinal: self.journal.len() as u64,
-                    prev,
-                    watermark: *self.watermark,
+                    prev_events: prev.events,
+                    prev_digest: prev.digest,
+                    events: self.watermark.events,
+                    digest: self.watermark.digest,
                     changed_pages: changed,
-                    // An ineffective pass published nothing, so its delta
-                    // changed no records — the conservative candidate list
-                    // belongs in `lineage_affected` only.
-                    changed_records: if effective {
-                        mrep.changed_records
-                    } else {
-                        Vec::new()
-                    },
+                    // Empty for an ineffective pass: nothing was published.
+                    changed_records: mrep.delta.changed_records,
                     lineage_affected: mrep.affected_records,
                     published_epoch: epoch,
                     effective,
-                    pages_reextracted: mrep.pages_reextracted,
                 });
                 self.pending.clear();
                 self.report.micro_epochs += 1;

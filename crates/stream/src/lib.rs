@@ -19,8 +19,10 @@
 //!                 extracts the page          │ cut
 //!                                            ▼
 //!                              seed memos → IncrEngine::maintain
-//!                                            │ SegmentDelta
-//!                                            ▼
+//!                                            │ MaintainReport::delta
+//!                                            ├──────────▶ journal entry
+//!                                            │            (MicroEpochView:
+//!                                            ▼             W015 reads it)
 //!                          ConceptServer::publish_delta_segmented
 //!                          (readers never block, cache retained)
 //! ```
@@ -48,11 +50,13 @@
 //! digest chained over the coalesced page transitions in sorted-URL order
 //! ([`woc_audit::stream_digest`] — the audit's W015 check recomputes the
 //! same chain, so a journal that drifts from what was actually applied is
-//! caught, not trusted).
+//! caught, not trusted). The journal stores the audit's own record,
+//! [`woc_audit::MicroEpochView`], so W015 reads it without a copy.
 //!
 //! **Read-while-write.** Each micro-epoch publishes through
 //! [`woc_serve::ConceptServer::publish_delta_segmented`] with the exact
-//! changed-term/changed-record delta from the maintenance report: readers
+//! changed-term/changed-record delta the maintenance pass built
+//! ([`woc_incr::MaintainReport::delta`]): readers
 //! keep answering against the previous epoch's snapshot during the pass,
 //! the swap is atomic, and cached answers the delta provably does not
 //! touch survive it. A failed pass (fault hook, panic) publishes nothing —
@@ -68,4 +72,4 @@ mod watermark;
 
 pub use engine::{StreamConfig, StreamEngine, StreamReport};
 pub use stages::PageEvent;
-pub use watermark::{MicroEpoch, Watermark};
+pub use watermark::Watermark;

@@ -1,4 +1,5 @@
-//! Content-defined watermarks and the micro-epoch journal.
+//! Content-defined watermarks: the stream position each journal entry
+//! ([`woc_audit::MicroEpochView`]) records before and after its batch.
 //!
 //! A watermark is a pure function of *what changed*: an event count plus an
 //! FNV digest chained over each micro-epoch's deduplicated page
@@ -8,8 +9,7 @@
 //! timing or wall clock reaches the watermark — two runs of the same event
 //! stream produce identical journals at any parallelism.
 
-use woc_audit::{stream_digest, MicroEpochView, PageChangeView};
-use woc_lrec::LrecId;
+use woc_audit::{stream_digest, PageChangeView};
 
 /// A position in the stream: how many page changes have been applied since
 /// the stream started, and the digest chained over all of them.
@@ -34,54 +34,6 @@ impl Watermark {
         Watermark {
             events: self.events + changed.len() as u64,
             digest: stream_digest(self.digest, changed),
-        }
-    }
-}
-
-/// One committed micro-epoch: the journal entry the engine appends for
-/// every batch it published (or proved ineffective). Failed maintenance
-/// passes append nothing — their batch coalesces into the next entry.
-#[derive(Debug, Clone)]
-pub struct MicroEpoch {
-    /// Journal position, counting from 0.
-    pub ordinal: u64,
-    /// Watermark before this micro-epoch.
-    pub prev: Watermark,
-    /// Watermark after: `prev.advance(&changed_pages)`.
-    pub watermark: Watermark,
-    /// The deduplicated page transitions this micro-epoch applied, each a
-    /// real change (`old_fp != new_fp`), at most one per URL.
-    pub changed_pages: Vec<PageChangeView>,
-    /// Records the published delta changed (empty for an ineffective
-    /// pass — nothing was published).
-    pub changed_records: Vec<LrecId>,
-    /// The lineage-affected candidate set `changed_records` was filtered
-    /// from; W015 checks `changed_records ⊆ lineage_affected`.
-    pub lineage_affected: Vec<LrecId>,
-    /// Serving epoch after this micro-epoch's publish.
-    pub published_epoch: u64,
-    /// Whether the publish actually advanced the served web (a batch of
-    /// cosmetic page edits can rebuild to a byte-identical web).
-    pub effective: bool,
-    /// Pages whose extraction the maintenance pass recomputed — with the
-    /// extract stage seeding the memo this stays 0 in steady state.
-    pub pages_reextracted: usize,
-}
-
-impl MicroEpoch {
-    /// The plain-data view the W015 audit check consumes.
-    pub fn view(&self) -> MicroEpochView {
-        MicroEpochView {
-            ordinal: self.ordinal,
-            prev_events: self.prev.events,
-            prev_digest: self.prev.digest,
-            events: self.watermark.events,
-            digest: self.watermark.digest,
-            changed_pages: self.changed_pages.clone(),
-            changed_records: self.changed_records.clone(),
-            lineage_affected: self.lineage_affected.clone(),
-            published_epoch: self.published_epoch,
-            effective: self.effective,
         }
     }
 }

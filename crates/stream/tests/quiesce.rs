@@ -155,7 +155,7 @@ fn journal_deterministic_across_thread_counts() {
         let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
         let report = engine.run(events.clone(), &server);
         assert_eq!(report.publish_failures, 0);
-        journals.push(engine.journal_views());
+        journals.push(engine.journal().to_vec());
     }
     assert_eq!(
         journals[0], journals[1],
