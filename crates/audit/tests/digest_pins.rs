@@ -65,7 +65,7 @@ fn record_index_digests_are_pinned() {
 
     let mut seg = SegmentedLrecIndex::new(entries(), MergePolicy::default());
     assert_eq!(seg.digest(), 0xa420_3111_d36e_15f4);
-    seg.apply_delta(&[
+    seg.apply_delta(vec![
         RecordChange {
             id: LrecId(2),
             concept: ConceptId(0),

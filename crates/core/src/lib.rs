@@ -16,8 +16,6 @@
 //!   match-before-create resolution against the existing corpus;
 //! * [`quality`] — corpus-level quality assessment (§7.3): per-concept
 //!   confidence, conformance, conflicts and corroboration roll-ups;
-//! * [`maintain`] — incremental maintenance under recrawls and world change
-//!   (§7.3), with cost accounting vs full rebuild;
 //! * [`memo`] — content-keyed memo caches every build passes through
 //!   ([`pipeline::build_with_caches`]): a cold build runs over empty ones,
 //!   a warm pass recomputes only content that changed (the `woc-incr`
@@ -32,7 +30,6 @@
 pub mod feed;
 pub mod graph;
 pub mod lineage;
-pub mod maintain;
 pub mod memo;
 pub mod parallel;
 pub mod pipeline;
@@ -45,7 +42,6 @@ pub mod uncertainty;
 pub use feed::{ingest_feed, parse_feed, Feed, FeedError, FeedRecord, FeedReport};
 pub use graph::{record_links, reverse_links, AssocKind, ConceptWeb};
 pub use lineage::{Lineage, LineageNode, NodeId, NodeKind, QuarantineScope};
-pub use maintain::{recrawl, MaintenanceReport};
 pub use memo::{doc_tokens, BuildCaches, CacheStats};
 pub use parallel::{resolve_threads, shard_map};
 pub use pipeline::{

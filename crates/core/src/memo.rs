@@ -150,9 +150,9 @@ pub(crate) fn digest_strs(items: &[&str]) -> u64 {
 }
 
 /// The tokens [`crate::pipeline::build`] indexes for a page: title plus
-/// visible text. The patch-in-place cache every build runs, its reference
-/// (`pipeline::index_texts`) and the shard-local document indexes
-/// (`woc-cluster`) all tokenize through here.
+/// visible text. The patch-in-place cache every build runs, its test
+/// reference (`index_texts` in `pipeline`'s tests) and the shard-local
+/// document indexes (`woc-cluster`) all tokenize through here.
 pub fn doc_tokens(page: &Page) -> Vec<String> {
     tokenize_words(&format!("{} {}", page.title, page.text()))
 }

@@ -1205,15 +1205,6 @@ fn mention_scan_reference(
     })
 }
 
-/// [`document_plane`]'s reference index: every live page tokenized afresh.
-pub(crate) fn index_texts(live: &[(usize, &Page)]) -> InvertedIndex {
-    let mut doc_index = InvertedIndex::new();
-    for (_, page) in live {
-        doc_index.add_tokens(&memo::doc_tokens(page));
-    }
-    doc_index
-}
-
 /// The Fellegi–Sunter scorer for each concept.
 pub(crate) fn scorer_for(concept: &str) -> FellegiSunter {
     use woc_matching::AttrParams;
@@ -1552,6 +1543,15 @@ mod tests {
         assert_eq!(caches.stats().postings_patched, 0);
         assert!(!caches.stats().record_index_rebuilt);
         assert!(!caches.stats().doc_index_rebuilt);
+    }
+
+    /// [`document_plane`]'s reference index: every live page tokenized afresh.
+    fn index_texts(live: &[(usize, &Page)]) -> InvertedIndex {
+        let mut doc_index = InvertedIndex::new();
+        for (_, page) in live {
+            doc_index.add_tokens(&memo::doc_tokens(page));
+        }
+        doc_index
     }
 
     /// Build `corpus` and check stage E and stage G against their reference

@@ -474,7 +474,7 @@ impl IncrEngine {
         // so the pass is effective and its delta carries the re-pin.
         if !record_changes.is_empty() {
             debug_assert!(report.effective_change, "an index diff is a change");
-            let outcome = self.segments.apply_delta(&record_changes);
+            let outcome = self.segments.apply_delta(record_changes);
             report.segment_merges = outcome.merges;
             report.delta.stats_repinned = outcome.repinned;
         }

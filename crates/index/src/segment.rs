@@ -393,28 +393,30 @@ impl SegmentedLrecIndex {
     }
 
     /// Apply one maintenance epoch's record changes: freeze the upserts as a
-    /// new delta segment, tombstone the removals, then run the merge policy.
-    pub fn apply_delta(&mut self, changes: &[RecordChange]) -> DeltaOutcome {
+    /// new delta segment (moving each one's `new_tokens` into it), tombstone
+    /// the removals, then run the merge policy.
+    pub fn apply_delta(&mut self, changes: Vec<RecordChange>) -> DeltaOutcome {
         let mut outcome = DeltaOutcome::default();
         if changes.is_empty() {
             return outcome;
         }
-        let mut upserts: Vec<(LrecId, ConceptId, Vec<String>)> = changes
-            .iter()
-            .filter_map(|c| c.new_tokens.as_ref().map(|t| (c.id, c.concept, t.clone())))
-            .collect();
+        let mut upserts: Vec<(LrecId, ConceptId, Vec<String>)> = Vec::new();
+        for c in changes {
+            match c.new_tokens {
+                Some(tokens) => {
+                    self.tombstones.remove(&c.id);
+                    upserts.push((c.id, c.concept, tokens));
+                }
+                None => {
+                    self.tombstones.insert(c.id);
+                }
+            }
+        }
         upserts.sort_unstable_by_key(|(id, _, _)| *id);
         assert!(
             upserts.windows(2).all(|w| w[0].0 < w[1].0),
             "a delta must carry at most one change per record"
         );
-        for c in changes {
-            if c.new_tokens.is_none() {
-                self.tombstones.insert(c.id);
-            } else {
-                self.tombstones.remove(&c.id);
-            }
-        }
         if !upserts.is_empty() {
             self.deltas.push(Arc::new(LrecSegment::build(upserts)));
             outcome.delta_added = true;
@@ -682,7 +684,7 @@ mod tests {
     #[test]
     fn delta_shadows_and_tombstones() {
         let mut seg = base();
-        let out = seg.apply_delta(&[
+        let out = seg.apply_delta(vec![
             RecordChange {
                 id: LrecId(2),
                 concept: ConceptId(0),
@@ -728,7 +730,7 @@ mod tests {
     #[test]
     fn compaction_repins_to_flat_identity() {
         let mut seg = base();
-        seg.apply_delta(&[RecordChange {
+        seg.apply_delta(vec![RecordChange {
             id: LrecId(4),
             concept: ConceptId(1),
             old_tokens: None,
@@ -754,7 +756,7 @@ mod tests {
         };
         seg.policy = policy;
         for i in 0..4u64 {
-            seg.apply_delta(&[RecordChange {
+            seg.apply_delta(vec![RecordChange {
                 id: LrecId(10 + i),
                 concept: ConceptId(0),
                 old_tokens: None,
@@ -792,7 +794,7 @@ mod tests {
             ],
             MergePolicy::default(),
         );
-        seg.apply_delta(&[RecordChange {
+        seg.apply_delta(vec![RecordChange {
             id: LrecId(3),
             concept: ConceptId(0),
             old_tokens: None,

@@ -288,7 +288,7 @@ proptest! {
                     new_tokens: v.as_ref().map(|(_, t)| t.clone()),
                 })
                 .collect();
-            seg.apply_delta(&changes);
+            seg.apply_delta(changes);
         }
         // Schedule A: fold left. Schedule B: seed-driven adjacent merges.
         let mut a = seg.clone();

@@ -249,7 +249,7 @@ fn segmented_equals_flat_across_churn_epochs() {
         assert_equivalent(&seg, &truth, &format!("churn {churn}%, epoch 0"));
         for epoch in 1..=8 {
             let changes = churn_epoch(&mut rng, &mut truth, &mut next_id, churn);
-            seg.apply_delta(&changes);
+            seg.apply_delta(changes);
             assert_equivalent(&seg, &truth, &format!("churn {churn}%, epoch {epoch}"));
         }
         // Forced merge point: the segmented index must now be byte-identical
@@ -287,7 +287,7 @@ fn merge_schedules_are_order_independent() {
     let mut seg = SegmentedLrecIndex::new(entries_of(&truth), manual);
     for _ in 0..6 {
         let changes = churn_epoch(&mut rng, &mut truth, &mut next_id, 20);
-        seg.apply_delta(&changes);
+        seg.apply_delta(changes);
     }
     assert_eq!(seg.delta_count(), 6);
 
@@ -339,7 +339,7 @@ fn concurrent_searchers_match_flat() {
         let mut seg = SegmentedLrecIndex::new(entries_of(&truth), MergePolicy::default());
         for _ in 0..4 {
             let changes = churn_epoch(&mut rng, &mut truth, &mut next_id, 10);
-            seg.apply_delta(&changes);
+            seg.apply_delta(changes);
         }
         let seg = Arc::new(seg);
         let flat = Arc::new(flat_of(&truth));

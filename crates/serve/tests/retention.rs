@@ -191,7 +191,7 @@ fn segmented_delta_retains_untouched_entries_byte_identically() {
     // Maintain a segmented index across the delta; it must be equivalent
     // to a flat rebuild of v2.
     let mut segments = v1.segmented_record_index(MergePolicy::default());
-    let outcome = segments.apply_delta(&changes);
+    let outcome = segments.apply_delta(changes);
     assert_eq!(
         segments.flatten().digest(),
         v2.record_index.digest(),

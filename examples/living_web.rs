@@ -1,6 +1,7 @@
 //! Maintenance scenario (paper §7.3): the world changes — restaurants close,
-//! phone numbers change — and the web of concepts tracks it incrementally,
-//! with versions, provenance, and lineage-backed explanations.
+//! phone numbers change — and the web of concepts tracks it incrementally:
+//! each maintained epoch equals a fresh build of its crawl, the previous
+//! epoch stays readable while it is held, and lineage explains the values.
 //!
 //! Run: `cargo run --example living_web --release`
 
@@ -11,11 +12,11 @@ fn main() {
     let cfg = CorpusConfig::default();
     let mut world = World::generate(WorldConfig::default());
     let corpus_v1 = generate_corpus(&world, &cfg);
-    let mut woc = build(&corpus_v1, &PipelineConfig::default());
+    let mut engine = IncrEngine::new(&corpus_v1, PipelineConfig::default());
     println!(
         "Initial build: {} pages → {} canonical records",
         corpus_v1.len(),
-        woc.store.live_count()
+        engine.web().store.live_count()
     );
 
     // --- The world moves on -------------------------------------------------
@@ -33,17 +34,19 @@ fn main() {
         }
     }
 
-    // --- Incremental recrawl -------------------------------------------------
+    // --- Incremental maintenance --------------------------------------------
+    // The previous epoch stays readable for as long as we hold it.
+    let before = engine.shared_web();
     let corpus_v2 = generate_corpus(&world, &cfg);
-    let report = recrawl(&mut woc, &corpus_v1, &corpus_v2, Tick(100));
+    let report = engine.maintain(&corpus_v2).expect("maintenance pass");
     println!(
-        "\nRecrawl: {}/{} pages re-extracted ({:.1}% of a full rebuild), \
-         {} records updated, {} created",
-        report.pages_reprocessed,
-        report.pages_total,
-        100.0 * report.cost_ratio(),
-        report.records_updated,
-        report.records_created
+        "\nMaintenance: {}/{} pages re-extracted ({:.1}% of a full rebuild), \
+         {} records changed, {} tombstoned",
+        report.pages_reextracted,
+        report.pages_scanned,
+        100.0 * report.pages_reextracted as f64 / report.pages_scanned as f64,
+        report.delta.changed_records.len(),
+        report.records_tombstoned
     );
 
     // --- Time travel on one changed record ----------------------------------
@@ -52,33 +55,28 @@ fn main() {
         .find(|e| matches!(e, ChurnEvent::PhoneChanged(..)))
     {
         let name = world.attr(*world_id, "name");
-        let rec = woc
-            .store
-            .by_concept(woc.concepts.restaurant)
-            .into_iter()
-            .filter_map(|id| woc.store.latest(id))
-            .find(|r| r.best_string("name").unwrap_or_default().contains(&name));
-        if let Some(rec) = rec {
-            let id = rec.id();
-            println!("\nRecord {} ({name}):", id);
-            println!("  versions: {}", woc.store.num_versions(id));
+        let named = |woc: &WebOfConcepts| {
+            woc.records_of(woc.concepts.restaurant)
+                .into_iter()
+                .find(|r| r.best_string("name").unwrap_or_default().contains(&name))
+                .map(|r| (r.id(), r.best_string("phone")))
+        };
+        let now = engine.web();
+        if let Some((id, phone)) = named(now) {
+            println!("\nRecord {id} ({name}):");
             println!(
-                "  phone before (as of t5): {}",
-                woc.store
-                    .as_of(id, Tick(5))
-                    .and_then(|r| r.best_string("phone"))
+                "  phone in the previous epoch: {}",
+                named(&before)
+                    .and_then(|(_, p)| p)
                     .unwrap_or_else(|| "-".into())
             );
             println!(
-                "  phone now:               {}",
-                woc.store
-                    .latest(id)
-                    .and_then(|r| r.best_string("phone"))
-                    .unwrap_or_else(|| "-".into())
+                "  phone now:                   {}",
+                phone.unwrap_or_else(|| "-".into())
             );
             println!("  (world changed it to {new_phone})");
             println!("\n  why do we believe the current values?");
-            for line in woc.lineage.explain(id).iter().take(6) {
+            for line in now.lineage.explain(id).iter().take(6) {
                 println!("    · {line}");
             }
         }

@@ -19,6 +19,7 @@
 //! | extraction stack | [`extract`] | §4 |
 //! | entity matching | [`matching`] | §6, §7.2 |
 //! | the web of concepts | [`core`] | §4, §7.3 |
+//! | incremental maintenance | [`incr`] | §7.3 |
 //! | applications | [`apps`] | §5 |
 //! | serving layer | [`serve`] | §2.2 scalable serving |
 //! | usage studies | [`usage`] | §3 |
@@ -49,6 +50,7 @@
 pub use woc_apps as apps;
 pub use woc_core as core;
 pub use woc_extract as extract;
+pub use woc_incr as incr;
 pub use woc_index as index;
 pub use woc_lrec as lrec;
 pub use woc_matching as matching;
@@ -63,7 +65,8 @@ pub mod prelude {
         augmented_search, concept_search, personalized_search, ConceptBox, TransitionEngine,
         UserModel,
     };
-    pub use woc_core::{build, recrawl, PipelineConfig, WebOfConcepts};
+    pub use woc_core::{build, PipelineConfig, WebOfConcepts};
+    pub use woc_incr::IncrEngine;
     pub use woc_index::{FieldQuery, LrecIndex};
     pub use woc_lrec::{AttrValue, ConceptRegistry, Lrec, LrecId, Provenance, Store, Tick};
     pub use woc_serve::{ConceptServer, ServeConfig};

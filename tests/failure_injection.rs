@@ -1,5 +1,5 @@
 //! Failure injection (DESIGN.md §8): malformed HTML, adversarial templates,
-//! contradictory sources, schema-violating extractions, recrawl churn. The
+//! contradictory sources, schema-violating extractions, vanished pages. The
 //! system must stay up, stay consistent, and degrade gracefully.
 
 use web_of_concepts::core::{build, reconcile, AssocKind, PipelineConfig};
@@ -104,11 +104,11 @@ fn contradictory_sources_reconcile_to_corroborated_value() {
 }
 
 #[test]
-fn recrawl_with_vanished_pages_is_safe() {
+fn vanished_pages_tombstone_the_records_they_alone_sourced() {
     let world = World::generate(WorldConfig::tiny(502));
     let cfg = CorpusConfig::tiny(42);
     let corpus_v1 = generate_corpus(&world, &cfg);
-    let mut woc = build(&corpus_v1, &PipelineConfig::default());
+    let mut engine = IncrEngine::new(&corpus_v1, PipelineConfig::default());
     // The new crawl lost half the pages (dead site, crawler budget).
     let mut corpus_v2 = WebCorpus::new();
     for (i, p) in corpus_v1.pages().iter().enumerate() {
@@ -116,11 +116,16 @@ fn recrawl_with_vanished_pages_is_safe() {
             corpus_v2.add(p.clone());
         }
     }
-    let report = web_of_concepts::core::recrawl(&mut woc, &corpus_v1, &corpus_v2, Tick(50));
-    // Unchanged pages are not reprocessed; vanished pages don't tear records
-    // down (best-effort persistence, the paper's "pay as you go").
-    assert_eq!(report.pages_reprocessed, 0);
-    assert!(woc.store.live_count() > 0);
+    let report = engine.maintain(&corpus_v2).expect("maintenance pass");
+    // Surviving pages are unchanged, so nothing is re-extracted. A record
+    // whose every source page vanished is tombstoned: content that no
+    // longer exists anywhere stops being served, exactly as a cold build
+    // of the halved crawl never creates it.
+    assert_eq!(report.pages_reextracted, 0);
+    assert!(report.records_tombstoned > 0);
+    let cold = build(&corpus_v2, &PipelineConfig::default());
+    assert!(cold.store.live_count() > 0);
+    assert_eq!(engine.web().store.live_count(), cold.store.live_count());
 }
 
 #[test]
