@@ -1164,11 +1164,6 @@ fn check_quarantine_lineage(
 fn check_trust(woc: &WebOfConcepts, cfg: &AuditConfig, live: &[LrecId]) -> CheckResult {
     let mut c = CheckResult::new("W016", "source-reliability");
     let model = &woc.trust;
-    if !model.config.enabled {
-        c.info
-            .push("trust model disabled; reliability invariants not applicable".to_string());
-        return c;
-    }
 
     // (a) The fixpoint is recomputable from the stored claim set.
     if !model.claims.is_empty() || !model.site_trust.is_empty() {

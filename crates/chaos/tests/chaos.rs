@@ -6,12 +6,14 @@
 //! delays accumulate on a virtual clock instead of sleeping. Set
 //! `WOC_CHAOS_SEED` to sweep an extra seed in CI.
 
+use std::sync::Arc;
+
 use woc_audit::{audit, AuditConfig};
 use woc_chaos::{build_resilient, crawl, CrawlOutcome, FaultProfile, RetryPolicy};
 use woc_core::{build, PipelineConfig};
 use woc_incr::{canonical_bytes, IncrEngine};
 use woc_lrec::Tick;
-use woc_serve::{ConceptServer, CrawlHealth, Query, ServeConfig};
+use woc_serve::{ConceptServer, CrawlHealth, MaintainError, Query, SegmentDelta, ServeConfig};
 use woc_webgen::{
     churn_restaurants, generate_corpus, AdversarialConfig, CorpusConfig, WebCorpus, World,
     WorldConfig,
@@ -117,15 +119,12 @@ fn drive_profile(truth: &WebCorpus, profile: &FaultProfile, seed: u64) {
     let before = answer_bytes(&server, &queries);
     let epoch = server.epoch();
 
-    // A publish whose rebuild dies must not perturb serving: same epoch,
-    // byte-identical answers, degraded health.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let err = server
-        .try_publish_with(|_| panic!("injected publish failure"))
-        .expect_err("publish with a panicking rebuild must fail");
-    std::panic::set_hook(prev_hook);
-    assert!(err.to_string().contains("injected publish failure"));
+    // A pass that dies before publishing must not perturb serving: same
+    // epoch, byte-identical answers, degraded health. It reports itself
+    // the way `IncrEngine::maintain_and_publish` does.
+    server.record_maintain_failure(&MaintainError::RebuildPanicked(
+        "injected publish failure".to_string(),
+    ));
     assert_eq!(
         server.epoch(),
         epoch,
@@ -145,13 +144,15 @@ fn drive_profile(truth: &WebCorpus, profile: &FaultProfile, seed: u64) {
         profile.name
     );
     assert_eq!(health.failed_maintains, 1);
-    assert!(health.last_error.is_some());
+    assert!(health
+        .last_error
+        .is_some_and(|e| e.contains("injected publish failure")));
 
     // Recovery: a clean publish lands a new epoch and clears the degraded
     // failure streak.
-    let next = server
-        .try_publish_with(|woc| woc.clone())
-        .expect("clean publish succeeds");
+    let woc = server.snapshot().woc.as_ref().clone();
+    let segments = Arc::new(woc.segmented_record_index(Default::default()));
+    let next = server.publish_delta_segmented(woc, &SegmentDelta::cold(), segments);
     assert_eq!(next, epoch + 1);
     assert_eq!(server.health().consecutive_failures, 0);
 }

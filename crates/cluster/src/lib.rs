@@ -52,27 +52,15 @@ use woc_webgen::WebCorpus;
 
 pub use node::{ReplicaState, ShardDocs, ShardNode, ShardRecords};
 pub use partition::{host_of, PartitionGroup, PartitionMap};
-pub use router::{Coverage, RouterStats, RouterStatsSnapshot, POSTING_MICROS};
+pub use router::{Coverage, RouterStats, RouterStatsSnapshot, POSTING_MICROS, TIMEOUT_MICROS};
 
-/// Cluster topology and routing knobs.
+/// Cluster topology. The routing budgets are constants of [`router`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of shard nodes.
     pub shards: usize,
     /// Replicas per shard.
     pub replicas: usize,
-    /// Per-shard budget: a shard whose best path exceeds this is dropped
-    /// from the answer (explicitly, via [`Coverage::Partial`]).
-    pub timeout_micros: u64,
-    /// Service time above which a hedged request fires to a second
-    /// replica; the shard's latency becomes the better of the two paths.
-    pub hedge_micros: u64,
-    /// Fixed per-request virtual cost (connect + dispatch) per replica
-    /// touched.
-    pub base_latency_micros: u64,
-    /// Rebalance when max/mean shard size exceeds this (see
-    /// [`PartitionMap::build`]).
-    pub rebalance_threshold: f64,
 }
 
 impl Default for ClusterConfig {
@@ -80,10 +68,6 @@ impl Default for ClusterConfig {
         Self {
             shards: 4,
             replicas: 2,
-            timeout_micros: 50_000,
-            hedge_micros: 2_000,
-            base_latency_micros: 100,
-            rebalance_threshold: 1.5,
         }
     }
 }
@@ -159,10 +143,6 @@ struct Scatter {
 pub struct ClusterServer {
     config: ClusterConfig,
     full: ConceptServer,
-    /// Publish-hook inbox: the epoch authority pushes each newly installed
-    /// snapshot here (the `woc-serve` replication seam), and the cluster
-    /// fans it out to shard replicas.
-    inbox: Arc<RwLock<Option<Arc<Snapshot>>>>,
     state: RwLock<Arc<ClusterState>>,
     nodes: Vec<ShardNode>,
     injector: RwLock<Arc<ShardFaultInjector>>,
@@ -184,9 +164,6 @@ impl ClusterServer {
         assert!(config.shards >= 1, "a cluster needs at least one shard");
         assert!(config.replicas >= 1, "a shard needs at least one replica");
         let full = ConceptServer::new(woc, ServeConfig::default());
-        let inbox: Arc<RwLock<Option<Arc<Snapshot>>>> = Arc::new(RwLock::new(None));
-        let sink = Arc::clone(&inbox);
-        full.on_publish(Box::new(move |snap| *sink.write() = Some(Arc::clone(snap))));
         let snap = full.snapshot();
         let state = Arc::new(build_state(&snap, corpus, &config, None));
         let nodes = (0..config.shards)
@@ -205,7 +182,6 @@ impl ClusterServer {
         Self {
             config,
             full,
-            inbox,
             state: RwLock::new(state),
             nodes,
             injector: RwLock::new(Arc::new(ShardFaultInjector::new(
@@ -272,12 +248,6 @@ impl ClusterServer {
         Arc::clone(&self.state.read())
     }
 
-    /// Take the snapshot the epoch authority's publish hook last delivered,
-    /// under the same single-lock rule.
-    fn take_installed(&self) -> Option<Arc<Snapshot>> {
-        self.inbox.write().take()
-    }
-
     /// Snapshot the active fault injector under the same single-lock rule.
     fn fault_injector(&self) -> Arc<ShardFaultInjector> {
         Arc::clone(&self.injector.read())
@@ -296,17 +266,17 @@ impl ClusterServer {
     /// Publish a web together with its segmented index and the delta
     /// describing what moved — the cluster form of
     /// [`ConceptServer::publish_delta_segmented`]. The epoch authority
-    /// swaps its snapshot (retaining its result cache by the delta's scope
-    /// and firing the publish hook), the partition map and shard sides
+    /// swaps its snapshot (retaining its result cache by the delta's scope)
+    /// and returns the new epoch, the partition map and shard sides
     /// rebuild — re-shipping as the same `Arc` every side whose owned
     /// entries and pinned statistics are unchanged, so a delta publish
     /// rebuilds only the shards owning changed records — and every replica
     /// *reachable at the current virtual time* installs the new epoch.
     /// Unreachable replicas stay on their old epoch; the router refuses
     /// them until [`ClusterServer::sync_replicas`] (or a later publish)
-    /// catches them up. A no-op delta is a cluster-wide no-op: no epoch
-    /// bump, no shard rebuild, no replica churn. Returns the epoch now
-    /// being served.
+    /// catches them up. A no-op delta — the authority returns the epoch it
+    /// already serves — is a cluster-wide no-op: no epoch bump, no shard
+    /// rebuild, no replica churn. Returns the epoch now being served.
     pub fn publish(
         &self,
         corpus: &WebCorpus,
@@ -314,16 +284,17 @@ impl ClusterServer {
         delta: &SegmentDelta,
         segments: Arc<SegmentedLrecIndex>,
     ) -> u64 {
-        self.full.publish_delta_segmented(woc, delta, segments);
-        // A no-op publish fires no hook and leaves the inbox empty.
-        let Some(snap) = self.take_installed() else {
-            return self.epoch();
-        };
+        let epoch = self.full.publish_delta_segmented(woc, delta, segments);
         let prev = self.routing_state();
+        // A no-op publish returns the epoch already served.
+        if epoch == prev.snap.epoch {
+            return epoch;
+        }
+        let snap = self.full.snapshot();
         let next = Arc::new(build_state(&snap, corpus, &self.config, Some(&prev)));
         *self.state.write() = next;
         self.sync_replicas();
-        snap.epoch
+        epoch
     }
 
     /// Install the canonical state into every replica reachable at the
@@ -375,7 +346,6 @@ impl ClusterServer {
                 s,
                 st.snap.epoch,
                 work(s) * POSTING_MICROS,
-                &self.config,
                 &inj,
                 now,
                 seq,
@@ -455,7 +425,7 @@ impl ClusterServer {
         let owner = canon.and_then(|c| st.partition.shard_of_record(c));
         let Some(shard) = owner else {
             // Not a live record: the metadata plane answers directly.
-            let latency = self.config.base_latency_micros;
+            let latency = router::BASE_LATENCY_MICROS;
             self.clock.fetch_add(latency, Ordering::Relaxed);
             return LookupAnswer {
                 result: None,
@@ -471,7 +441,6 @@ impl ClusterServer {
             shard,
             st.snap.epoch,
             0,
-            &self.config,
             &inj,
             now,
             seq,
@@ -585,6 +554,10 @@ pub fn lookup_reference(woc: &WebOfConcepts, id: LrecId) -> Option<ConceptResult
     )
 }
 
+/// Rebalance the partition when max/mean shard size exceeds this (see
+/// [`PartitionMap::build`]).
+const REBALANCE_THRESHOLD: f64 = 1.5;
+
 /// Build the canonical cluster state for a snapshot, re-shipping any
 /// shard side whose input digest matches the previous state (same owned
 /// entries, same global stats ⇒ a rebuild would be byte-identical).
@@ -597,7 +570,7 @@ fn build_state(
     let partition = Arc::new(PartitionMap::build(
         &snap.woc,
         config.shards,
-        config.rebalance_threshold,
+        REBALANCE_THRESHOLD,
     ));
     let mut records = Vec::with_capacity(config.shards);
     let mut docs = Vec::with_capacity(config.shards);

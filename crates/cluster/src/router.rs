@@ -27,13 +27,23 @@ use std::sync::Arc;
 use woc_chaos::ShardFaultInjector;
 
 use crate::node::{ReplicaState, ShardNode};
-use crate::ClusterConfig;
 
 /// Virtual cost of walking one posting entry, in microseconds. The work
 /// term is what makes scatter-gather *scale*: shards own disjoint posting
 /// lists, so the per-shard work — and with it the max-over-shards query
 /// latency — shrinks as shards are added.
 pub const POSTING_MICROS: u64 = 2;
+
+/// Per-shard budget: a shard whose best path exceeds this is dropped from
+/// the answer (explicitly, via [`Coverage::Partial`]).
+pub const TIMEOUT_MICROS: u64 = 50_000;
+
+/// Service time above which a hedged request fires to a second replica;
+/// the shard's latency becomes the better of the two paths.
+pub(crate) const HEDGE_MICROS: u64 = 2_000;
+
+/// Fixed per-request virtual cost (connect + dispatch) per replica touched.
+pub(crate) const BASE_LATENCY_MICROS: u64 = 100;
 
 /// How much of the answer's shard coverage arrived.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,7 +124,6 @@ pub fn serve_shard(
     shard: usize,
     expected_epoch: u64,
     work_micros: u64,
-    cfg: &ClusterConfig,
     injector: &ShardFaultInjector,
     now_micros: u64,
     seq: u64,
@@ -128,12 +137,12 @@ pub fn serve_shard(
         let r = (start + i) % replicas;
         if injector.replica_down(shard, r, now_micros) {
             stats.dead_probes.fetch_add(1, Ordering::Relaxed);
-            latency += cfg.base_latency_micros;
+            latency += BASE_LATENCY_MICROS;
             continue;
         }
         if node.replica(r).epoch != expected_epoch {
             stats.stale_skips.fetch_add(1, Ordering::Relaxed);
-            latency += cfg.base_latency_micros;
+            latency += BASE_LATENCY_MICROS;
             continue;
         }
         usable.push(r);
@@ -144,28 +153,28 @@ pub fn serve_shard(
     let Some(&primary) = usable.first() else {
         return ShardServe {
             state: None,
-            latency_micros: latency.min(cfg.timeout_micros),
+            latency_micros: latency.min(TIMEOUT_MICROS),
             hedged: false,
         };
     };
     let serve_cost = |replica: usize| {
-        cfg.base_latency_micros + work_micros + injector.extra_latency_micros(shard, replica, seq)
+        BASE_LATENCY_MICROS + work_micros + injector.extra_latency_micros(shard, replica, seq)
     };
     let primary_cost = serve_cost(primary);
     let mut hedged = false;
     let mut best = primary_cost;
-    if primary_cost > cfg.hedge_micros {
+    if primary_cost > HEDGE_MICROS {
         if let Some(&backup) = usable.get(1) {
             hedged = true;
             stats.hedges.fetch_add(1, Ordering::Relaxed);
-            best = best.min(cfg.hedge_micros + serve_cost(backup));
+            best = best.min(HEDGE_MICROS + serve_cost(backup));
         }
     }
     latency += best;
-    if latency > cfg.timeout_micros {
+    if latency > TIMEOUT_MICROS {
         return ShardServe {
             state: None,
-            latency_micros: cfg.timeout_micros,
+            latency_micros: TIMEOUT_MICROS,
             hedged,
         };
     }

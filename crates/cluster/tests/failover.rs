@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use woc_apps::{concept_search_parsed, hydrate_record_hit, interpret_query, ConceptResult};
 use woc_audit::AuditConfig;
 use woc_chaos::ShardFaultProfile;
-use woc_cluster::{ClusterConfig, ClusterServer, Coverage};
+use woc_cluster::{ClusterConfig, ClusterServer, Coverage, TIMEOUT_MICROS};
 use woc_core::{build, PipelineConfig, WebOfConcepts};
 use woc_incr::{IncrEngine, MaintainReport};
 use woc_index::{FieldQuery, MergePolicy};
@@ -437,7 +437,7 @@ fn brownout_fires_hedges_without_changing_answers() {
                 ans.coverage.is_complete(),
                 "[{seed}] slowness within the timeout must not drop shards"
             );
-            assert!(ans.virtual_micros <= cluster.config().timeout_micros);
+            assert!(ans.virtual_micros <= TIMEOUT_MICROS);
             assert_identical(
                 &ans.results,
                 &reference_search(woc, q, k),

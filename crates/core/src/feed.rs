@@ -41,15 +41,12 @@ pub struct Feed {
 pub enum FeedError {
     /// Malformed JSON.
     Malformed(String),
-    /// A record names an unregistered concept.
-    UnknownConcept(String),
 }
 
 impl std::fmt::Display for FeedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FeedError::Malformed(e) => write!(f, "malformed feed: {e}"),
-            FeedError::UnknownConcept(c) => write!(f, "unknown concept {c:?} in feed"),
         }
     }
 }

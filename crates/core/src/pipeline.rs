@@ -32,7 +32,7 @@ use crate::lineage::Lineage;
 use crate::memo::{self, BuildCaches, TypedRecord};
 use crate::parallel::resolve_threads;
 use crate::report::PipelineReport;
-use crate::trust::{pool_key, Claim, Selection, TrustConfig, TrustModel};
+use crate::trust::{pool_key, Claim, Selection, TrustConfig, TrustModel, TRUST_CONCEPTS};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -44,8 +44,6 @@ pub struct PipelineConfig {
     pub threads: usize,
     /// Use collective (relational) resolution instead of purely pairwise.
     pub collective: bool,
-    /// Minimum generative-matcher margin to accept a review→record link.
-    pub review_margin: f64,
     /// Run domain-centric list extraction (ablation flag).
     pub use_lists: bool,
     /// Run detail-page extraction (ablation flag).
@@ -54,8 +52,9 @@ pub struct PipelineConfig {
     pub resolve_entities: bool,
     /// Run value reconciliation (ablation flag).
     pub reconcile_values: bool,
-    /// Source-reliability model: fixpoint trust per site, quarantine of
-    /// systematically wrong sites, reliability-weighted reconciliation.
+    /// Source-reliability fixpoint settings: the trust stage always runs
+    /// (fixpoint trust per site, quarantine of systematically wrong sites,
+    /// reliability-weighted reconciliation).
     pub trust: TrustConfig,
 }
 
@@ -65,7 +64,6 @@ impl Default for PipelineConfig {
             tick: Tick(1),
             threads: 0,
             collective: true,
-            review_margin: 0.5,
             use_lists: true,
             use_detail: true,
             resolve_entities: true,
@@ -486,7 +484,7 @@ fn type_page(
         // Fuel for the source-reliability fixpoint: every pooled-concept
         // claim (site, entity pool, attribute, value).
         let mut claims: Vec<Claim> = Vec::new();
-        if config.trust.enabled && config.trust.concepts.iter().any(|c| c == concept_name) {
+        if TRUST_CONCEPTS.contains(&concept_name) {
             let name = fields
                 .iter()
                 .find(|(k, _)| k == "name")
@@ -636,16 +634,11 @@ pub fn build_with_caches(
     // to the extent trusted sites assert it. Sites converging below the
     // threshold are content-quarantined — the same lineage story transport
     // faults use, at site scope.
-    let trust_model = if config.trust.enabled {
-        let model = TrustModel::compute(claims, &config.trust);
-        for (site, reason) in &model.quarantined {
-            lineage.quarantine_site(site, reason);
-        }
-        report.sites_distrusted = model.quarantined.len();
-        model
-    } else {
-        TrustModel::default()
-    };
+    let mut trust_model = TrustModel::compute(claims, &config.trust);
+    for (site, reason) in &trust_model.quarantined {
+        lineage.quarantine_site(site, reason);
+    }
+    report.sites_distrusted = trust_model.quarantined.len();
 
     // --- Stage B3: scrub records asserted by distrusted sites ------------
     // Retract BEFORE entity resolution: a spam record absorbed into an
@@ -813,17 +806,10 @@ pub fn build_with_caches(
     // trust-weighted, quarantined-only value groups are excluded outright,
     // and winners get SiteSupport provenance. With no quarantined sites this
     // is identical to plain reconcile, so honest builds are unchanged.
-    let mut trust_model = trust_model;
-    let pooled: Vec<(ConceptId, &str)> = if config.trust.enabled {
-        config
-            .trust
-            .concepts
-            .iter()
-            .filter_map(|n| registry.id_of(n).map(|cid| (cid, n.as_str())))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let pooled: Vec<(ConceptId, &str)> = TRUST_CONCEPTS
+        .iter()
+        .filter_map(|&n| registry.id_of(n).map(|cid| (cid, n)))
+        .collect();
     let mut reconciled = 0usize;
     for id in store.live_ids() {
         if !config.reconcile_values {
@@ -883,6 +869,8 @@ pub fn build_with_caches(
     report.stage_done("reconcile", reconciled, &mut t0);
 
     // --- Stage D: review → record linking --------------------------------
+    // Minimum generative-matcher margin to accept a review→record link.
+    const REVIEW_MARGIN: f64 = 0.5;
     let mut review_links = 0usize;
     let restaurant_recs: Vec<Arc<Lrec>> = store
         .by_concept(concepts.restaurant)
@@ -904,7 +892,7 @@ pub fn build_with_caches(
                 continue;
             };
             if let Some((target, margin)) = matcher.match_text(&text) {
-                if margin >= config.review_margin {
+                if margin >= REVIEW_MARGIN {
                     let conf = 1.0 - (-margin).exp();
                     let t = next_tick();
                     store

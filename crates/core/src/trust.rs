@@ -47,45 +47,40 @@ use serde::{Deserialize, Serialize};
 use woc_lrec::{AttrValue, LrecId, SiteSupport};
 use woc_textkit::Fnv1a;
 
-/// Trust-model configuration.
+/// Prior trust assigned to every site before iteration.
+const PRIOR: f64 = 0.5;
+
+/// Weight of the evidence term in the trust update; `1 - DAMPING` stays on
+/// the prior, which keeps single-iteration swings bounded.
+const DAMPING: f64 = 0.8;
+
+/// Convergence threshold on the max per-site trust delta.
+pub const EPSILON: f64 = 1e-9;
+
+/// Sites with converged trust below this are content-quarantined.
+const QUARANTINE_THRESHOLD: f64 = 0.5;
+
+/// Minimum judgeable claims before a site can be quarantined — a site
+/// judged on one or two facts stays at whatever trust it earned but is
+/// never scrubbed on that little evidence.
+const MIN_CLAIMS: usize = 3;
+
+/// Concepts whose records contribute claims. Restricted to concepts whose
+/// records carry a usable `(name, city)` identity; reviews and menu items
+/// pool badly (shared names, no identity) and would only add noise.
+pub(crate) const TRUST_CONCEPTS: &[&str] = &["restaurant"];
+
+/// Trust-model configuration: the iteration cap, the one fixpoint setting
+/// a caller varies (the property tests raise it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrustConfig {
-    /// Run the trust stage at all (ablation flag).
-    pub enabled: bool,
-    /// Prior trust assigned to every site before iteration.
-    pub prior: f64,
-    /// Weight of the evidence term in the trust update; `1 - damping` stays
-    /// on the prior, which keeps single-iteration swings bounded.
-    pub damping: f64,
-    /// Convergence threshold on the max per-site trust delta.
-    pub epsilon: f64,
     /// Iteration cap (the fixpoint must converge within this bound).
     pub max_iters: usize,
-    /// Sites with converged trust below this are content-quarantined.
-    pub quarantine_threshold: f64,
-    /// Minimum judgeable claims before a site can be quarantined — a site
-    /// judged on one or two facts stays at whatever trust it earned but is
-    /// never scrubbed on that little evidence.
-    pub min_claims: usize,
-    /// Concepts whose records contribute claims. Restricted to concepts
-    /// whose records carry a usable `(name, city)` identity; reviews and
-    /// menu items pool badly (shared names, no identity) and would only add
-    /// noise.
-    pub concepts: Vec<String>,
 }
 
 impl Default for TrustConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            prior: 0.5,
-            damping: 0.8,
-            epsilon: 1e-9,
-            max_iters: 128,
-            quarantine_threshold: 0.5,
-            min_claims: 3,
-            concepts: vec!["restaurant".to_string()],
-        }
+        Self { max_iters: 128 }
     }
 }
 
@@ -139,7 +134,7 @@ pub struct Exclusion {
 }
 
 /// The converged source-reliability model.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrustModel {
     /// Configuration the fixpoint ran with.
     pub config: TrustConfig,
@@ -179,7 +174,7 @@ impl TrustModel {
         let shadow = Self::compute_reference(claims.clone(), config);
         let claims = canonicalize(claims);
         let facts = facts_of(&claims);
-        let (site_trust, claim_counts) = sites_of(&claims, &facts, config);
+        let (site_trust, claim_counts) = sites_of(&claims, &facts);
         let sites: Vec<&str> = site_trust.keys().map(String::as_str).collect();
         // Each claim's confidence with its site's position.
         let claimants: Vec<(f64, usize)> = claims
@@ -241,7 +236,7 @@ impl TrustModel {
     pub fn compute_reference(claims: Vec<Claim>, config: &TrustConfig) -> TrustModel {
         let claims = canonicalize_reference(claims);
         let facts = facts_of(&claims);
-        let (site_trust, claim_counts) = sites_of(&claims, &facts, config);
+        let (site_trust, claim_counts) = sites_of(&claims, &facts);
         let site_pos: BTreeMap<&str, usize> = site_trust
             .keys()
             .enumerate()
@@ -276,10 +271,7 @@ impl TrustModel {
 
     /// Trust of a site (prior for sites the model never saw).
     pub fn trust_of(&self, site: &str) -> f64 {
-        self.site_trust
-            .get(site)
-            .copied()
-            .unwrap_or(self.config.prior)
+        self.site_trust.get(site).copied().unwrap_or(PRIOR)
     }
 
     /// True when the model content-quarantined the site.
@@ -368,13 +360,12 @@ fn judgeable(fact: &[Vec<usize>]) -> bool {
 fn sites_of(
     claims: &[Claim],
     facts: &[Vec<Vec<usize>>],
-    config: &TrustConfig,
 ) -> (BTreeMap<String, f64>, BTreeMap<String, usize>) {
     let mut site_trust: BTreeMap<String, f64> = BTreeMap::new();
     let mut claim_counts: BTreeMap<String, usize> = BTreeMap::new();
     for c in claims {
         if !site_trust.contains_key(&c.site) {
-            site_trust.insert(c.site.clone(), config.prior);
+            site_trust.insert(c.site.clone(), PRIOR);
             claim_counts.insert(c.site.clone(), 0);
         }
     }
@@ -429,7 +420,7 @@ fn iterate(
     config: &TrustConfig,
     mut evidence: impl FnMut(&[f64], &mut [f64], &mut [usize]),
 ) -> Fixpoint {
-    let mut trust = vec![config.prior; sites];
+    let mut trust = vec![PRIOR; sites];
     let mut sum = vec![0.0f64; sites];
     let mut cnt = vec![0usize; sites];
     let mut fixpoint = Fixpoint {
@@ -445,17 +436,13 @@ fn iterate(
         evidence(&trust, &mut sum, &mut cnt);
         let mut delta = 0.0f64;
         for ((t, &sum), &cnt) in trust.iter_mut().zip(&sum).zip(&cnt) {
-            let evidence = if cnt > 0 {
-                sum / cnt as f64
-            } else {
-                config.prior
-            };
-            let next = config.damping * evidence + (1.0 - config.damping) * config.prior;
+            let evidence = if cnt > 0 { sum / cnt as f64 } else { PRIOR };
+            let next = DAMPING * evidence + (1.0 - DAMPING) * PRIOR;
             delta = delta.max((next - *t).abs());
             *t = next;
         }
         fixpoint.curve.push(delta);
-        if delta < config.epsilon {
+        if delta < EPSILON {
             fixpoint.converged = true;
             break;
         }
@@ -478,13 +465,11 @@ fn converged_model(
     }
     let quarantined: Vec<(String, String)> = site_trust
         .iter()
-        .filter(|(site, t)| {
-            **t < config.quarantine_threshold && claim_counts[*site] >= config.min_claims
-        })
+        .filter(|(site, t)| **t < QUARANTINE_THRESHOLD && claim_counts[*site] >= MIN_CLAIMS)
         .map(|(site, t)| {
             (
                 site.clone(),
-                format!("trust {:.2} < {:.2}", t, config.quarantine_threshold),
+                format!("trust {t:.2} < {QUARANTINE_THRESHOLD:.2}"),
             )
         })
         .collect();
@@ -643,9 +628,8 @@ mod tests {
                 0.75,
             ));
         }
-        let cfg = TrustConfig::default();
-        let m = TrustModel::compute(cs, &cfg);
-        assert!((m.trust_of("blog.example.com") - cfg.prior).abs() < 1e-9);
+        let m = TrustModel::compute(cs, &TrustConfig::default());
+        assert!((m.trust_of("blog.example.com") - PRIOR).abs() < 1e-9);
         assert_eq!(m.claim_counts["blog.example.com"], 0, "contested only");
         assert!(!m.is_quarantined("blog.example.com"));
     }
@@ -728,7 +712,7 @@ mod tests {
         assert_eq!(m.curve.len(), m.iterations);
         assert!(m.iterations <= TrustConfig::default().max_iters);
         assert!(
-            m.curve.last().copied().unwrap_or(1.0) < TrustConfig::default().epsilon,
+            m.curve.last().copied().unwrap_or(1.0) < EPSILON,
             "last delta below epsilon: {:?}",
             m.curve
         );

@@ -4,7 +4,7 @@
 //! spam perturbation.
 
 use proptest::prelude::*;
-use woc_core::trust::{canonicalize, canonicalize_reference};
+use woc_core::trust::{canonicalize, canonicalize_reference, EPSILON};
 use woc_core::{Claim, TrustConfig, TrustModel};
 use woc_lrec::AttrValue;
 
@@ -244,12 +244,12 @@ proptest! {
     /// keeps every trust score inside [0, 1].
     #[test]
     fn fixpoint_converges_within_bounds(claims in arb_claims()) {
-        let cfg = TrustConfig { max_iters: 512, ..TrustConfig::default() };
+        let cfg = TrustConfig { max_iters: 512 };
         let m = TrustModel::compute(claims, &cfg);
         prop_assert!(m.converged, "no convergence in {} iterations (curve {:?})", m.iterations, m.curve);
         prop_assert!(m.iterations <= cfg.max_iters);
         prop_assert_eq!(m.curve.len(), m.iterations);
-        prop_assert!(m.curve.last().copied().unwrap_or(0.0) < cfg.epsilon);
+        prop_assert!(m.curve.last().copied().unwrap_or(0.0) < EPSILON);
         // Contraction, not oscillation: the tail of the curve keeps
         // shrinking relative to its start.
         if m.curve.len() >= 8 {

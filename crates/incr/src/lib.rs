@@ -240,6 +240,11 @@ impl IncrEngine {
         }
     }
 
+    /// The pipeline configuration every pass of this engine builds with.
+    pub fn config(&self) -> &PipelineConfig {
+        &self.config
+    }
+
     /// Install a pre-rebuild gate consulted by every maintain pass (after
     /// change detection, before any state is touched). `Err(reason)` from
     /// the hook aborts the pass as [`MaintainError::FaultInjected`].

@@ -23,20 +23,11 @@ use woc_textkit::Fnv1a;
 
 use crate::postings::{intersect, DocId, Posting, PostingList};
 
-/// BM25 parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (typical 1.2).
-    pub k1: f64,
-    /// Length normalization (typical 0.75).
-    pub b: f64,
-}
+/// BM25 term-frequency saturation.
+const K1: f64 = 1.2;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Self { k1: 1.2, b: 0.75 }
-    }
-}
+/// BM25 length normalization.
+const B: f64 = 0.75;
 
 /// A scored search hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,9 +60,9 @@ fn mean_len(total_len: u64, num_docs: usize) -> f64 {
 /// paths and the only remaining degree of freedom is summation order (which
 /// each path fixes to query-term order).
 #[inline]
-fn bm25_term_score(params: Bm25Params, idf: f64, tf: f64, len: f64, avg: f64) -> f64 {
-    let denom = tf + params.k1 * (1.0 - params.b + params.b * len / avg.max(1e-9));
-    idf * tf * (params.k1 + 1.0) / denom
+fn bm25_term_score(idf: f64, tf: f64, len: f64, avg: f64) -> f64 {
+    let denom = tf + K1 * (1.0 - B + B * len / avg.max(1e-9));
+    idf * tf * (K1 + 1.0) / denom
 }
 
 /// Corpus-global scoring statistics snapshotted from a full index.
@@ -209,11 +200,10 @@ pub struct InvertedIndex {
     terms: HashMap<Arc<str>, Arc<TermPostings>>,
     doc_lens: Vec<u32>,
     total_len: u64,
-    params: Bm25Params,
 }
 
 impl InvertedIndex {
-    /// Empty index with default BM25 parameters.
+    /// Empty index.
     pub fn new() -> Self {
         Self::default()
     }
@@ -462,7 +452,7 @@ impl InvertedIndex {
             };
             for p in term.list.iter() {
                 let len = self.doc_lens[p.doc.0 as usize] as f64;
-                let s = bm25_term_score(self.params, idf, p.tf as f64, len, avg);
+                let s = bm25_term_score(idf, p.tf as f64, len, avg);
                 *acc.entry(p.doc).or_insert(0.0) += s;
             }
         }
@@ -560,13 +550,11 @@ impl InvertedIndex {
             let ub = if blocks.is_empty() {
                 // No frozen metadata for this term (foreign blockmax): the
                 // universal bound tf·(k1+1)/(tf+…) < k1+1 still holds.
-                idf * (self.params.k1 + 1.0)
+                idf * (K1 + 1.0)
             } else {
                 blocks
                     .iter()
-                    .map(|b| {
-                        bm25_term_score(self.params, idf, b.max_tf as f64, b.min_len as f64, avg)
-                    })
+                    .map(|b| bm25_term_score(idf, b.max_tf as f64, b.min_len as f64, avg))
                     .fold(0.0f64, f64::max)
             };
             lists.push(Cursor {
@@ -633,7 +621,7 @@ impl InvertedIndex {
                     if let Some(p) = l.ps.get(l.pos) {
                         if p.doc == doc {
                             let len = self.doc_lens[doc.0 as usize] as f64;
-                            let s = bm25_term_score(self.params, l.idf, p.tf as f64, len, avg);
+                            let s = bm25_term_score(l.idf, p.tf as f64, len, avg);
                             addends.push((l.ord, s));
                         }
                     }
@@ -645,13 +633,8 @@ impl InvertedIndex {
                     }
                     let b = l.blocks.partition_point(|b| b.last_doc < doc);
                     if let Some(meta) = l.blocks.get(b) {
-                        let s = bm25_term_score(
-                            self.params,
-                            l.idf,
-                            meta.max_tf as f64,
-                            meta.min_len as f64,
-                            avg,
-                        );
+                        let s =
+                            bm25_term_score(l.idf, meta.max_tf as f64, meta.min_len as f64, avg);
                         addends.push((l.ord, s));
                     }
                 }
@@ -672,7 +655,7 @@ impl InvertedIndex {
                         if let Some(p) = l.ps.get(l.pos) {
                             if p.doc == doc {
                                 let len = self.doc_lens[doc.0 as usize] as f64;
-                                let s = bm25_term_score(self.params, l.idf, p.tf as f64, len, avg);
+                                let s = bm25_term_score(l.idf, p.tf as f64, len, avg);
                                 addends.push((l.ord, s));
                             }
                         }

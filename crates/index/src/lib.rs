@@ -22,7 +22,7 @@ pub mod lrec_index;
 pub mod postings;
 pub mod segment;
 
-pub use index::{BlockMaxIndex, BlockMeta, Bm25Params, Hit, InvertedIndex, ScoringStats};
+pub use index::{BlockMaxIndex, BlockMeta, Hit, InvertedIndex, ScoringStats};
 pub use lrec_index::{scoped_term, FieldQuery, LrecIndex, RecordHit};
 pub use postings::{intersect, union, DocId, Posting, PostingList};
 pub use segment::{

@@ -71,13 +71,15 @@ pub use metrics::{Endpoint, EndpointSummary, MetricsRegistry, ERROR_BUDGET};
 /// Separator inside cache keys; cannot occur in tokenized query terms.
 const KEY_SEP: char = '\u{1f}';
 
+/// Total result-cache entries across all shards.
+const CACHE_CAPACITY: usize = 4096;
+
+/// Number of independent result-cache shards.
+const CACHE_SHARDS: usize = 16;
+
 /// Serving-layer configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Total result-cache entries across all shards (0 disables storage).
-    pub cache_capacity: usize,
-    /// Number of independent cache shards.
-    pub cache_shards: usize,
     /// Whether queries consult the cache at all (togglable at runtime via
     /// [`ConceptServer::set_cache_enabled`], e.g. for A/B benchmarking).
     pub cache_enabled: bool,
@@ -91,8 +93,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            cache_capacity: 4096,
-            cache_shards: 16,
             cache_enabled: true,
             exclude_nonconforming: false,
         }
@@ -279,11 +279,13 @@ fn cold_segments(woc: &WebOfConcepts) -> Arc<SegmentedLrecIndex> {
 }
 
 /// A subscriber invoked after every successful publish with the newly
-/// installed snapshot. This is the replication seam: a cluster layer
-/// subscribes here to fan each published epoch out to shard replicas without
-/// polling. Hooks run on the publishing thread, after the snapshot swap and
-/// cache invalidation, so a subscriber always observes the epoch that new
-/// requests are already being served from.
+/// installed snapshot: an observation seam — a subscriber can log each
+/// epoch, reach the one it replaces, or fail the publishing thread. A
+/// caller that only needs the new epoch reads what
+/// [`ConceptServer::publish_delta_segmented`] returns instead. Hooks run on
+/// the publishing thread, after the snapshot swap and cache invalidation, so
+/// a subscriber always observes the epoch that new requests are already
+/// being served from.
 pub type PublishHook = Box<dyn Fn(&Arc<Snapshot>) + Send + Sync>;
 
 /// Registered publish subscribers (interior-mutable so `on_publish` works
@@ -360,7 +362,7 @@ impl ConceptServer {
                 segments: cold_segments(&woc),
                 woc,
             })),
-            cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedCache::new(CACHE_CAPACITY, CACHE_SHARDS),
             cache_enabled: AtomicBool::new(config.cache_enabled),
             metrics: MetricsRegistry::new(),
             config,
@@ -478,28 +480,6 @@ impl ConceptServer {
         }
         drop(retired);
         epoch
-    }
-
-    /// Rebuild the next epoch with an arbitrary closure over the pinned
-    /// current snapshot and publish the result cold. A panicking rebuild
-    /// aborts transactionally: the error is recorded, the served epoch and
-    /// its answers are untouched. This is the seam chaos tests use to
-    /// inject publish-path failures.
-    pub fn try_publish_with(
-        &self,
-        rebuild: impl FnOnce(&WebOfConcepts) -> WebOfConcepts,
-    ) -> Result<u64, MaintainError> {
-        let snap = self.snapshot();
-        // AssertUnwindSafe: the closure receives a shared reference into
-        // an immutable snapshot; any state it was going to produce dies
-        // with the unwind.
-        let woc = catch_unwind(AssertUnwindSafe(|| rebuild(&snap.woc))).map_err(|payload| {
-            let err = MaintainError::from_panic(payload);
-            self.record_maintain_failure(&err);
-            err
-        })?;
-        let segments = cold_segments(&woc);
-        Ok(self.publish_delta_segmented(woc, &SegmentDelta::cold(), segments))
     }
 
     /// Record a maintenance pass that failed before it could publish: the
@@ -886,15 +866,10 @@ mod tests {
         let server = ConceptServer::new(tiny_woc(901, 91), ServeConfig::default());
         let before = server.search("gochi cupertino", 5);
 
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let err = server
-            .try_publish_with(|_| panic!("injected publish failure"))
-            .expect_err("panicking rebuild must fail");
-        std::panic::set_hook(prev_hook);
-        assert!(matches!(
-            &err,
-            MaintainError::RebuildPanicked(msg) if msg.contains("injected publish failure")
+        // A pass that fails before publishing reports itself, as
+        // `IncrEngine::maintain_and_publish` does.
+        server.record_maintain_failure(&MaintainError::RebuildPanicked(
+            "injected publish failure".to_string(),
         ));
 
         // Degraded mode: same epoch, byte-identical answers, health dirty.
@@ -916,9 +891,7 @@ mod tests {
             .is_some_and(|m| m.contains("injected")));
 
         // Recovery: a successful publish clears the degraded flag.
-        let epoch = server
-            .try_publish_with(|woc| woc.clone())
-            .expect("clean rebuild publishes");
+        let epoch = publish_cold(&server, server.snapshot().woc.as_ref().clone());
         assert_eq!(epoch, 2);
         let h = server.health();
         assert!(!h.degraded);

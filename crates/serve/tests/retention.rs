@@ -317,9 +317,9 @@ fn repinned_stats_drop_the_whole_cache() {
 }
 
 /// The one door is the old doors, part 1: a cold publish — the cold delta
-/// over a freshly built index, here through `try_publish_with` — installs a
-/// merge-point index that flattens to the new web's flat index and leaves
-/// nothing cached. This is what the deleted `publish` guaranteed.
+/// over a freshly built index — installs a merge-point index that flattens
+/// to the new web's flat index and leaves nothing cached. This is what the
+/// deleted `publish` guaranteed.
 #[test]
 fn cold_publish_installs_a_fresh_merge_point_and_an_empty_cache() {
     let server = ConceptServer::new(build_woc(901, 91), ServeConfig::default());
@@ -329,7 +329,11 @@ fn cold_publish_installs_a_fresh_merge_point_and_an_empty_cache() {
 
     let v2 = build_woc(902, 92);
     let flat_digest = v2.record_index.digest();
-    assert_eq!(server.try_publish_with(|_| v2), Ok(2));
+    let segments = Arc::new(v2.segmented_record_index(MergePolicy::default()));
+    assert_eq!(
+        server.publish_delta_segmented(v2, &SegmentDelta::cold(), segments),
+        2
+    );
     let snap = server.snapshot();
     assert_eq!(snap.epoch, 2);
     assert_eq!(snap.segments.flatten().digest(), flat_digest);

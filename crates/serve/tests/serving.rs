@@ -6,13 +6,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use woc_core::{build, PipelineConfig, WebOfConcepts};
-use woc_serve::{Answer, ConceptServer, Query, ServeConfig};
+use woc_index::MergePolicy;
+use woc_serve::{Answer, ConceptServer, Query, SegmentDelta, ServeConfig};
 use woc_webgen::{generate_corpus, CorpusConfig, World, WorldConfig};
 
 fn build_woc(world_seed: u64, corpus_seed: u64) -> WebOfConcepts {
     let world = World::generate(WorldConfig::tiny(world_seed));
     let corpus = generate_corpus(&world, &CorpusConfig::tiny(corpus_seed));
     build(&corpus, &PipelineConfig::default())
+}
+
+/// Publish `woc` cold: the cold delta over a freshly built segmented index.
+fn publish_cold(server: &ConceptServer, woc: WebOfConcepts) -> u64 {
+    let segments = Arc::new(woc.segmented_record_index(MergePolicy::default()));
+    server.publish_delta_segmented(woc, &SegmentDelta::cold(), segments)
 }
 
 fn mixed_queries() -> Vec<Query> {
@@ -98,10 +105,10 @@ fn epoch_swap_under_concurrent_load() {
                 let woc_v2 = woc_v2.clone();
                 scope.spawn(move || {
                     std::thread::sleep(std::time::Duration::from_millis(2));
-                    server.try_publish_with(|_| woc_v2)
+                    publish_cold(&server, woc_v2)
                 })
             };
-            assert_eq!(publisher.join().unwrap(), Ok(2));
+            assert_eq!(publisher.join().unwrap(), 2);
             handles
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
@@ -153,8 +160,8 @@ fn cache_is_transparent() {
 
     // Invalidation cycle: republish the *same* web as a new epoch. The cache
     // is cleared; fresh fills and fresh hits must still match the reference.
-    let epoch = server.try_publish_with(|_| woc);
-    assert_eq!(epoch, Ok(2));
+    let epoch = publish_cold(&server, woc);
+    assert_eq!(epoch, 2);
     assert_eq!(server.cache_len(), 0);
     for q in &queries {
         let refill = server.execute(q);

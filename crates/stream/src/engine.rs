@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use woc_audit::{
     audit, check_segments, check_stream_epochs, Audit, AuditConfig, MicroEpochView, PageChangeView,
 };
-use woc_core::{PipelineConfig, WebOfConcepts};
+use woc_core::WebOfConcepts;
 use woc_extract::lists::ConceptProfile;
 use woc_extract::ExtractedRecord;
 use woc_incr::{FaultHook, IncrEngine};
@@ -19,7 +19,9 @@ use woc_webgen::{Page, WebCorpus};
 use crate::stages::{ingest_stage, removal_fingerprint, Change, PageEvent};
 use crate::watermark::Watermark;
 
-/// Tunables for the streaming dataflow.
+/// Tunables for the streaming dataflow. The pipeline configuration is not
+/// one of them: the stream extracts and maintains with the driven engine's
+/// own ([`IncrEngine::config`]).
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Capacity of the channel from the ingest stage to the commit stage
@@ -36,8 +38,6 @@ pub struct StreamConfig {
     /// URLs are pending even if no content cut fired (bounds publish
     /// latency under pathological fingerprint distributions).
     pub max_batch_pages: usize,
-    /// Pipeline configuration for the underlying incremental engine.
-    pub pipeline: PipelineConfig,
 }
 
 impl Default for StreamConfig {
@@ -46,7 +46,6 @@ impl Default for StreamConfig {
             channel_capacity: 32,
             cut_mask: 0x3,
             max_batch_pages: 64,
-            pipeline: PipelineConfig::default(),
         }
     }
 }
@@ -59,8 +58,6 @@ pub struct StreamReport {
     /// Events dropped by change detection (no-op recrawls, removals of
     /// unknown URLs).
     pub deduped: u64,
-    /// Pages whose extraction the ingest stage computed.
-    pub pages_extracted: u64,
     /// Micro-epochs committed to the journal during this run.
     pub micro_epochs: usize,
     /// Of those, how many actually advanced the served web.
@@ -70,11 +67,6 @@ pub struct StreamReport {
     pub publish_failures: usize,
     /// First few failure messages, for diagnostics.
     pub failure_messages: Vec<String>,
-    /// The serving epoch after the last successful publish of this run
-    /// (0 if none happened).
-    pub last_epoch: u64,
-    /// Watermark when the run finished.
-    pub final_watermark: Watermark,
     /// Distinct URLs still pending (only non-zero when every closing
     /// attempt failed — a quiesced healthy stream leaves nothing behind).
     pub pending_carryover: usize,
@@ -134,17 +126,14 @@ impl std::fmt::Debug for StreamEngine {
 }
 
 impl StreamEngine {
-    /// Build the initial web from `corpus` (a full batch build that warms
-    /// every memo cache) and start the stream at [`Watermark::ZERO`].
-    pub fn new(corpus: WebCorpus, config: StreamConfig) -> Self {
-        let incr = IncrEngine::new(&corpus, config.pipeline.clone());
-        Self::from_parts(incr, corpus, config)
-    }
-
-    /// Adopt an already-built incremental engine instead of rebuilding:
-    /// `corpus` must be exactly the crawl `incr`'s current web was last
-    /// maintained against (the benchmark uses this to switch a warm batch
-    /// engine into streaming mode without paying a second full build).
+    /// Drive `incr` as a stream starting at [`Watermark::ZERO`]: `corpus`
+    /// must be exactly the crawl `incr`'s current web was last maintained
+    /// against. A fresh stream is
+    /// `from_parts(IncrEngine::new(&corpus, cfg), corpus, StreamConfig::default())`;
+    /// a warm batch engine switches into streaming mode the same way,
+    /// without a second full build. The ingest stage extracts with
+    /// `incr`'s own [`IncrEngine::config`], so the streamed web stays
+    /// byte-identical to a cold build under that configuration.
     pub fn from_parts(incr: IncrEngine, corpus: WebCorpus, config: StreamConfig) -> Self {
         let fps = corpus
             .pages()
@@ -242,10 +231,8 @@ impl StreamEngine {
         let started = Instant::now();
         let mut report = StreamReport::default();
         let profiles = ConceptProfile::standard();
-        let (use_lists, use_detail) = (
-            self.config.pipeline.use_lists,
-            self.config.pipeline.use_detail,
-        );
+        let pipeline = self.incr.config();
+        let (use_lists, use_detail) = (pipeline.use_lists, pipeline.use_detail);
         // Split borrows: the fingerprint map goes to the ingest thread,
         // everything else stays with the commit loop on this thread.
         let fps = &mut self.fps;
@@ -276,7 +263,6 @@ impl StreamEngine {
 
         report.events_in = stats.events_in;
         report.deduped = stats.deduped;
-        report.final_watermark = self.watermark;
         report.pending_carryover = self.pending.len();
         report
     }
@@ -327,7 +313,6 @@ impl Committer<'_> {
                 old_fp,
                 records,
             } => {
-                self.report.pages_extracted += 1;
                 let url = page.url.clone();
                 let state = PendingState::Updated { page, fp, records };
                 match self.pending.entry(url) {
@@ -435,7 +420,6 @@ impl Committer<'_> {
                 if effective {
                     self.report.effective_epochs += 1;
                 }
-                self.report.last_epoch = epoch;
                 self.report.publish_at.push(self.started.elapsed());
                 self.report.publish_took.push(took);
             }

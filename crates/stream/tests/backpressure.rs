@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use woc_audit::{stream_digest, PageChangeView};
 use woc_core::{build, PipelineConfig};
-use woc_incr::canonical_bytes;
+use woc_incr::{canonical_bytes, IncrEngine};
 use woc_lrec::Tick;
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_stream::{PageEvent, StreamConfig, StreamEngine, Watermark};
@@ -32,12 +32,13 @@ fn throttle_scenario(channel_capacity: usize) {
         // so the cap is what this test exercises.
         cut_mask: u64::MAX,
         max_batch_pages: 3,
-        pipeline: PipelineConfig {
-            threads: 2,
-            ..PipelineConfig::default()
-        },
     };
-    let mut engine = StreamEngine::new(corpus_v1.clone(), config.clone());
+    let pipeline = PipelineConfig {
+        threads: 2,
+        ..PipelineConfig::default()
+    };
+    let incr = IncrEngine::new(&corpus_v1, pipeline.clone());
+    let mut engine = StreamEngine::from_parts(incr, corpus_v1.clone(), config);
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
 
     let mut seed = 1;
@@ -63,7 +64,7 @@ fn throttle_scenario(channel_capacity: usize) {
             e.changed_pages.len()
         );
     }
-    let fresh = build(&corpus_v2, &config.pipeline);
+    let fresh = build(&corpus_v2, &pipeline);
     assert_eq!(canonical_bytes(engine.web()), canonical_bytes(&fresh));
 }
 

@@ -12,7 +12,7 @@ use std::time::Duration;
 use woc_audit::AuditConfig;
 use woc_chaos::{crawl, FaultProfile, RetryPolicy};
 use woc_core::{build, PipelineConfig};
-use woc_incr::canonical_bytes;
+use woc_incr::{canonical_bytes, IncrEngine};
 use woc_lrec::Tick;
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_stream::{PageEvent, StreamConfig, StreamEngine, StreamReport};
@@ -21,17 +21,22 @@ use woc_webgen::{churn_restaurants, generate_corpus, CorpusConfig, WebCorpus, Wo
 /// Watchdog budget: generous for CI machines, tiny next to a real hang.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-fn stream_config() -> StreamConfig {
-    StreamConfig {
+fn pipeline_config() -> PipelineConfig {
+    PipelineConfig {
+        threads: 2,
+        ..PipelineConfig::default()
+    }
+}
+
+fn stream(corpus: &WebCorpus) -> StreamEngine {
+    let config = StreamConfig {
         // A small channel so backpressure actually engages under the test
         // corpus sizes.
         channel_capacity: 4,
-        pipeline: PipelineConfig {
-            threads: 2,
-            ..PipelineConfig::default()
-        },
         ..StreamConfig::default()
-    }
+    };
+    let incr = IncrEngine::new(corpus, pipeline_config());
+    StreamEngine::from_parts(incr, corpus.clone(), config)
 }
 
 fn event_stream(old: &WebCorpus, new: &WebCorpus) -> Vec<PageEvent> {
@@ -114,7 +119,7 @@ fn chaos_scenario(profile: FaultProfile, seed: u64) {
     let mut world = World::generate(WorldConfig::tiny(500));
     let corpus_cfg = CorpusConfig::tiny(50);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let engine = StreamEngine::new(corpus_v1.clone(), stream_config());
+    let engine = stream(&corpus_v1);
     let server = Arc::new(ConceptServer::new(
         engine.web().clone(),
         ServeConfig::default(),
@@ -137,7 +142,7 @@ fn chaos_scenario(profile: FaultProfile, seed: u64) {
     assert_eq!(report.pending_carryover, 0, "chaos run must still quiesce");
 
     // Quiesced byte-identity on the corpus the degraded crawl produced.
-    let fresh = build(engine.corpus(), &stream_config().pipeline);
+    let fresh = build(engine.corpus(), &pipeline_config());
     assert_eq!(
         canonical_bytes(engine.web()),
         canonical_bytes(&fresh),
@@ -189,7 +194,7 @@ fn failed_publishes_coalesce_and_retry_quiesces() {
     let mut world = World::generate(WorldConfig::tiny(502));
     let corpus_cfg = CorpusConfig::tiny(52);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config());
+    let mut engine = stream(&corpus_v1);
     let server = Arc::new(ConceptServer::new(
         engine.web().clone(),
         ServeConfig::default(),
@@ -254,7 +259,7 @@ fn failed_publishes_coalesce_and_retry_quiesces() {
     assert_eq!(healed.consecutive_failures, 0);
     assert_eq!(healed.failed_maintains, health.failed_maintains);
 
-    let fresh = build(&corpus_v2, &stream_config().pipeline);
+    let fresh = build(&corpus_v2, &pipeline_config());
     assert_eq!(canonical_bytes(engine.web()), canonical_bytes(&fresh));
     let audit = engine.audit(&AuditConfig::default());
     assert!(audit.passed(), "{}", audit.render());

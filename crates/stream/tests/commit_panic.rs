@@ -8,6 +8,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use woc_core::PipelineConfig;
+use woc_incr::IncrEngine;
 use woc_lrec::Tick;
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_stream::{PageEvent, StreamConfig, StreamEngine};
@@ -39,13 +40,14 @@ fn commit_stage_panic_propagates_instead_of_hanging() {
         channel_capacity: 1,
         // Every change closes a micro-epoch, so the first one publishes.
         cut_mask: 0,
-        pipeline: PipelineConfig {
-            threads: 1,
-            ..PipelineConfig::default()
-        },
         ..StreamConfig::default()
     };
-    let mut engine = StreamEngine::new(corpus_v1, config);
+    let pipeline = PipelineConfig {
+        threads: 1,
+        ..PipelineConfig::default()
+    };
+    let incr = IncrEngine::new(&corpus_v1, pipeline);
+    let mut engine = StreamEngine::from_parts(incr, corpus_v1, config);
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
     server.on_publish(Box::new(|snap| {
         panic!("publish hook rejects epoch {}", snap.epoch)

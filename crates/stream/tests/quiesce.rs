@@ -6,7 +6,7 @@
 
 use woc_audit::AuditConfig;
 use woc_core::{build, PipelineConfig};
-use woc_incr::canonical_bytes;
+use woc_incr::{canonical_bytes, IncrEngine};
 use woc_lrec::Tick;
 use woc_serve::{ConceptServer, ServeConfig};
 use woc_stream::{PageEvent, StreamConfig, StreamEngine};
@@ -22,14 +22,17 @@ fn churn_until_events(world: &mut World, rate: f64, tick: Tick, mut seed: u64) {
     }
 }
 
-fn stream_config(threads: usize) -> StreamConfig {
-    StreamConfig {
-        pipeline: PipelineConfig {
-            threads,
-            ..PipelineConfig::default()
-        },
-        ..StreamConfig::default()
+fn pipeline_config(threads: usize) -> PipelineConfig {
+    PipelineConfig {
+        threads,
+        ..PipelineConfig::default()
     }
+}
+
+/// A stream over an engine freshly built from `corpus` with `config`.
+fn stream(corpus: &WebCorpus, config: PipelineConfig) -> StreamEngine {
+    let incr = IncrEngine::new(corpus, config);
+    StreamEngine::from_parts(incr, corpus.clone(), StreamConfig::default())
 }
 
 /// The full recrawl as an event stream: every page of the new crawl as an
@@ -72,7 +75,7 @@ fn quiesce_scenario(rate: f64, threads: usize) {
     let mut world = World::generate(WorldConfig::tiny(500));
     let corpus_cfg = CorpusConfig::tiny(50);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(threads));
+    let mut engine = stream(&corpus_v1, pipeline_config(threads));
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
 
     churn_until_events(&mut world, rate, Tick(10), 1);
@@ -89,7 +92,7 @@ fn quiesce_scenario(rate: f64, threads: usize) {
         report.deduped > 0,
         "recrawling unchanged pages must dedup at the fingerprint stage"
     );
-    assert_eq!(report.final_watermark.events, {
+    assert_eq!(engine.watermark().events, {
         let changed: u64 = corpus_v2
             .pages()
             .iter()
@@ -98,7 +101,7 @@ fn quiesce_scenario(rate: f64, threads: usize) {
         changed
     });
 
-    let fresh = build(&corpus_v2, &stream_config(threads).pipeline);
+    let fresh = build(&corpus_v2, &pipeline_config(threads));
     assert_eq!(
         canonical_bytes(engine.web()),
         canonical_bytes(&fresh),
@@ -151,7 +154,7 @@ fn journal_deterministic_across_thread_counts() {
 
     let mut journals = Vec::new();
     for threads in [1usize, 8] {
-        let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(threads));
+        let mut engine = stream(&corpus_v1, pipeline_config(threads));
         let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
         let report = engine.run(events.clone(), &server);
         assert_eq!(report.publish_failures, 0);
@@ -171,7 +174,7 @@ fn quiesce_equivalent_with_added_and_removed_pages() {
     let mut world = World::generate(WorldConfig::tiny(501));
     let corpus_cfg = CorpusConfig::tiny(51);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(4));
+    let mut engine = stream(&corpus_v1, pipeline_config(4));
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
 
     churn_until_events(&mut world, 0.3, Tick(10), 1);
@@ -190,7 +193,7 @@ fn quiesce_equivalent_with_added_and_removed_pages() {
 
     // The streamed corpus is the truth the engine maintained against;
     // batch-building it from scratch must reproduce the web exactly.
-    let fresh = build(engine.corpus(), &stream_config(4).pipeline);
+    let fresh = build(engine.corpus(), &pipeline_config(4));
     assert_eq!(canonical_bytes(engine.web()), canonical_bytes(&fresh));
     assert_eq!(
         engine.corpus().len(),
@@ -209,7 +212,7 @@ fn streamed_low_churn_keeps_search_entries_warm() {
     let mut world = World::generate(WorldConfig::tiny(500));
     let corpus_cfg = CorpusConfig::tiny(50);
     let corpus_v1 = generate_corpus(&world, &corpus_cfg);
-    let mut engine = StreamEngine::new(corpus_v1.clone(), stream_config(2));
+    let mut engine = stream(&corpus_v1, pipeline_config(2));
     let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
 
     let names: std::collections::BTreeSet<String> = {
@@ -233,7 +236,10 @@ fn streamed_low_churn_keeps_search_entries_warm() {
     let report = engine.run(event_stream(&corpus_v1, &corpus_v2), &server);
     assert_eq!(report.publish_failures, 0, "{:?}", report.failure_messages);
     assert!(report.effective_epochs >= 1, "the churn must publish");
-    assert_eq!(server.epoch(), report.last_epoch);
+    assert_eq!(
+        Some(server.epoch()),
+        engine.journal().last().map(|e| e.published_epoch)
+    );
 
     let warm = names
         .iter()
@@ -244,4 +250,34 @@ fn streamed_low_churn_keeps_search_entries_warm() {
         "{warm}/{} warmed search entries survived the streamed publishes",
         names.len()
     );
+}
+
+/// The ingest stage extracts with the configuration of the engine the
+/// stream drives: adopting an engine built without detail extraction, the
+/// streamed web still equals a cold build under that same configuration.
+#[test]
+fn stream_extracts_with_its_engines_config() {
+    let mut world = World::generate(WorldConfig::tiny(731));
+    let corpus_cfg = CorpusConfig::tiny(31);
+    let corpus_v1 = generate_corpus(&world, &corpus_cfg);
+    let config = PipelineConfig {
+        use_detail: false,
+        ..PipelineConfig::default()
+    };
+    let mut engine = stream(&corpus_v1, config.clone());
+    let server = ConceptServer::new(engine.web().clone(), ServeConfig::default());
+
+    churn_until_events(&mut world, 0.5, Tick(10), 5);
+    let corpus_v2 = generate_corpus(&world, &corpus_cfg);
+    let report = engine.run(event_stream(&corpus_v1, &corpus_v2), &server);
+    assert_eq!(report.publish_failures, 0, "{:?}", report.failure_messages);
+    assert!(report.effective_epochs >= 1, "the churn must publish");
+
+    let fresh = build(engine.corpus(), &config);
+    assert_eq!(
+        canonical_bytes(engine.web()),
+        canonical_bytes(&fresh),
+        "streamed web must equal a cold build under the engine's own config"
+    );
+    assert_quiesced_clean(&engine);
 }
